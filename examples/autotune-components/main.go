@@ -53,7 +53,7 @@ func main() {
 	rec := hetgraph.NewTraceRecorder()
 	optCPU.Trace, optMIC.Trace = rec, rec
 	app := hetgraph.NewConnectedComponents()
-	res, err := hetgraph.RunHetero(app, g, assign, optCPU, optMIC)
+	res, err := hetgraph.RunF32Hetero(app, g, assign, optCPU, optMIC)
 	if err != nil {
 		log.Fatal(err)
 	}

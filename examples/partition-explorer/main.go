@@ -49,7 +49,7 @@ func main() {
 			}
 		}
 		app := hetgraph.NewSSSP(0)
-		res, err := hetgraph.RunHetero(app, g, assign,
+		res, err := hetgraph.RunF32Hetero(app, g, assign,
 			hetgraph.Options{Dev: hetgraph.CPU(), Scheme: hetgraph.SchemeLocking, Vectorized: true},
 			hetgraph.Options{Dev: hetgraph.MIC(), Scheme: hetgraph.SchemePipelined, Vectorized: true},
 		)

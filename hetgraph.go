@@ -229,15 +229,6 @@ func MIC() DeviceSpec { return machine.MIC() }
 // Run executes a float32-message application on one modeled device.
 func Run(app AppF32, g *Graph, opt Options) (Result, error) { return core.RunF32(app, g, opt) }
 
-// RunHetero executes a float32-message application across a device group.
-// assign maps each vertex to a rank in [0, len(deviceOpts)); the classic
-// CPU+MIC pair is the two-Options call with ranks 0 (CPU) and 1 (MIC).
-// Alternatively pass a single Options whose Devices field lists the group.
-// RunHetero is an alias of RunF32Hetero, kept for existing callers.
-func RunHetero(app AppF32, g *Graph, assign []int32, deviceOpts ...Options) (HeteroResult, error) {
-	return core.RunF32Hetero(app, g, assign, deviceOpts...)
-}
-
 // RunF32Hetero executes a float32-message application across an N-rank
 // device group. Each Options value configures one rank, in rank order;
 // alternatively a single Options with Devices set declares the whole group

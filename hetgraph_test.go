@@ -120,7 +120,7 @@ func TestFacadeHeteroFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := hetgraph.NewPageRank()
-	res, err := hetgraph.RunHetero(app, g, loaded,
+	res, err := hetgraph.RunF32Hetero(app, g, loaded,
 		hetgraph.Options{Dev: hetgraph.CPU(), Scheme: hetgraph.SchemeLocking, Vectorized: true, MaxIterations: 3},
 		hetgraph.Options{Dev: hetgraph.MIC(), Scheme: hetgraph.SchemePipelined, Vectorized: true, MaxIterations: 3},
 	)

@@ -263,15 +263,15 @@ type Options struct {
 	Metrics metrics.Sink
 	// ExchangeTimeout bounds every cross-device exchange round in a
 	// heterogeneous run: a peer that does not show up within the deadline
-	// is declared dead and the run fails (or degrades to single-device when
-	// checkpointing is on) instead of deadlocking. 0 = unbounded. For a
+	// is declared dead and the run fails (or degrades to the surviving ranks
+	// when checkpointing is on) instead of deadlocking. 0 = unbounded. For a
 	// hetero run the first non-zero value across the two device options
 	// wins (the interconnect is shared).
 	ExchangeTimeout time.Duration
 	// CheckpointEvery takes a superstep-boundary checkpoint of vertex
 	// state and the active frontier every N completed supersteps; the app
 	// must implement checkpoint.Snapshotter. After a device failure the
-	// survivor restores the last checkpoint and finishes single-device.
+	// survivors restore the last checkpoint and finish without it.
 	// 0 disables checkpointing. Hetero runs use the first non-zero value
 	// across the two device options.
 	CheckpointEvery int
@@ -293,7 +293,7 @@ type Options struct {
 	// delays, transient link failures, user-function panics) into the run.
 	// Hetero runs use the first non-nil injector across the two options.
 	Fault *fault.Injector
-	// Rejoin lets a heterogeneous run heal after single-device degradation:
+	// Rejoin lets a heterogeneous run heal after degradation:
 	// when the fault plan declares the failed rank recovered (flaky/recover
 	// events), the supervisor restarts its engine from the newest
 	// checkpoint and re-admits it at a superstep barrier. Requires

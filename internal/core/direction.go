@@ -177,8 +177,8 @@ func (d *deviceF32) direction() string {
 // destinations receive nothing (the sweep reads parent state directly in
 // process), so only cut edges — out-edges crossing to another rank — emit,
 // through the app's own Generate filtered to remote destinations. A
-// single-device run, a lone degraded survivor, and a group with no live
-// peers all skip the walk entirely.
+// single-device run and a group with no live peers (a lone survivor) skip
+// the walk entirely.
 func (d *deviceF32) generatePull(active []graph.VertexID, c *machine.Counters) error {
 	c.ActiveVertices += int64(len(active))
 	c.PullSupersteps++

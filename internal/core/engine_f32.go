@@ -24,8 +24,9 @@ type delivery struct {
 }
 
 // deviceF32 is one device's engine state for a float32-message application.
-// For single-device runs assign is nil; for heterogeneous runs it maps each
-// vertex to its owner rank and ep connects to the peer device.
+// For single-device runs assign and ep are nil; for heterogeneous runs
+// assign maps each vertex to its owner rank and ep connects to the group's
+// interconnect.
 type deviceF32 struct {
 	app    AppF32
 	g      *graph.CSR
@@ -256,7 +257,7 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 	}
 	vectorized := d.opt.Vectorized && d.app.Profile().Reducible
 	perThread := make([][]delivery, d.opt.Threads)
-	var vecRows, reduced atomic.Int64
+	var reduced atomic.Int64
 	var wg sync.WaitGroup
 	var pc pipeline.PanicCollector
 	for t := 0; t < d.opt.Threads; t++ {
@@ -270,7 +271,7 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 			var out []delivery
 			var lanes []csb.Lane
 			var sortScratch []float32
-			var localRows, localReduced int64
+			var localReduced int64
 			for {
 				lo, hi, ok := s.Next()
 				if !ok {
@@ -295,7 +296,6 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 					}
 					if vectorized {
 						d.app.ReduceVec(arr, rows)
-						localRows += int64(rows)
 						for _, l := range lanes {
 							out = append(out, delivery{l.Vertex, arr.At(0, l.Lane)})
 							localReduced += int64(l.Count)
@@ -313,7 +313,6 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 				}
 			}
 			perThread[t] = out
-			vecRows.Add(localRows)
 			reduced.Add(localReduced)
 		}(t)
 	}
@@ -329,7 +328,11 @@ func (d *deviceF32) processPush(c *machine.Counters) ([]delivery, error) {
 	for _, out := range perThread {
 		deliveries = append(deliveries, out...)
 	}
-	c.VecRows += vecRows.Load()
+	if vectorized {
+		// Charged from the per-vertex fills, not the rows just reduced: the
+		// real packing depends on arrival order (see csb.ChargedRows).
+		c.VecRows += d.buf.ChargedRows()
+	}
 	c.ReducedMessages += reduced.Load()
 	c.TaskFetches += s.Fetches()
 	c.Steps++
@@ -512,18 +515,12 @@ func RunF32(app AppF32, g *graph.CSR, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runF32Loop(d, app.Init(g), d.opt.MaxIterations)
-}
-
-// runF32Loop drives the single-device BSP loop for at most maxIter
-// iterations starting from the given active set. It is shared by RunF32 and
-// by the degraded single-device continuation after a heterogeneous failure.
-func runF32Loop(d *deviceF32, active []graph.VertexID, maxIter int) (Result, error) {
+	active := app.Init(g)
 	start := time.Now()
 	var res Result
 	fixed := IsFixedActive(d.app)
 	initial := active
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < d.opt.MaxIterations; iter++ {
 		d.step = int64(iter)
 		if len(active) == 0 {
 			res.Converged = true

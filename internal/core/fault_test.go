@@ -120,6 +120,22 @@ func TestHeteroSSSPDegradesAfterDrop(t *testing.T) {
 	assign := chaosAssign(t, g)
 	want := seqref.ClassicSSSP(g, 0)
 
+	// A degraded run counts supersteps like a clean or a healed one: the
+	// convergence-detection superstep included.
+	steps := func(plan string, rejoin bool) int64 {
+		opt0, opt1 := chaosOpts(core.DefaultMaxIterations, 1, plan, t)
+		opt0.Rejoin = rejoin
+		res, err := core.RunF32Hetero(apps.NewSSSP(0), g, assign, opt0, opt1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Iterations
+	}
+	clean := steps("", false)
+	if healed := steps("rank1:flaky@2x2", true); healed != clean {
+		t.Fatalf("healed run Iterations = %d, clean run %d", healed, clean)
+	}
+
 	for _, k := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("drop@%d", k), func(t *testing.T) {
 			app := apps.NewSSSP(0)
@@ -127,6 +143,9 @@ func TestHeteroSSSPDegradesAfterDrop(t *testing.T) {
 			res, err := core.RunF32Hetero(app, g, assign, opt0, opt1)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if res.Iterations != clean {
+				t.Errorf("Iterations = %d, want the clean run's %d", res.Iterations, clean)
 			}
 			if !res.Degraded || res.FailedRank != 1 {
 				t.Fatalf("Degraded=%v FailedRank=%d, want degraded rank 1", res.Degraded, res.FailedRank)

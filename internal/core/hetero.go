@@ -29,7 +29,7 @@ type HeteroResult struct {
 	Dev []Result
 	// ExecSeconds is sum_i max_r(rank r's compute time in superstep i). In a
 	// degraded or healed run it covers the lockstep iterations up to each
-	// restored checkpoint plus the degraded windows' compute time.
+	// restored checkpoint plus the degraded segments' lockstep time.
 	ExecSeconds float64
 	// CommSeconds is the modeled interconnect exchange time (including the
 	// per-iteration active-count allreduce).
@@ -58,9 +58,10 @@ type HeteroResult struct {
 	// a disk-resumed run it is the superstep the cold start restored.
 	ResumedSuperstep int64
 	// Recovery aggregates the work done while the run was degraded (zero
-	// unless a failure occurred): the permanent continuation, or — with
-	// Options.Rejoin — the degraded windows between failure and rejoin.
-	// With multiple survivors the counters and phases sum over them.
+	// unless a failure occurred): every superstep the survivors ran between
+	// a failure and the end of the run or a rejoin, counted like any other
+	// superstep (the convergence-detection superstep included). The
+	// counters and phases sum over the survivors.
 	Recovery Result
 
 	// DiskResumed is true when the run cold-started from an on-disk
@@ -79,8 +80,8 @@ type HeteroResult struct {
 	// at (zero unless Healed; the latest rejoin when there were several).
 	RejoinSuperstep int64
 	// DegradedSupersteps counts the supersteps executed by the surviving
-	// subset while the run was degraded — the permanent continuation's
-	// supersteps, or the rejoin-mode degraded windows'.
+	// subset while the run was degraded (Recovery.Iterations, summed over
+	// every degraded stretch).
 	DegradedSupersteps int64
 
 	// Partitioned is true when the supervisor detected a network partition
@@ -145,18 +146,6 @@ func validAssign(g *graph.CSR, assign []int32, ranks int) error {
 		}
 	}
 	return nil
-}
-
-// splitActive partitions the initially active vertices between two ranks.
-func splitActive(active []graph.VertexID, assign []int32) (a0, a1 []graph.VertexID) {
-	for _, v := range active {
-		if assign[v] == 0 {
-			a0 = append(a0, v)
-		} else {
-			a1 = append(a1, v)
-		}
-	}
-	return a0, a1
 }
 
 // splitActiveN partitions the active vertices by owner across n ranks,
@@ -537,13 +526,13 @@ type heteroF32 struct {
 	suspects map[int]bool
 
 	res  HeteroResult
-	exec float64 // accumulated compute seconds (lockstep maxes + degraded windows)
+	exec float64 // accumulated compute seconds (lockstep maxes, degraded segments included)
 	// lastRejoin guards rejoin progress: a new rejoin only happens at a
 	// strictly later superstep, so a deterministically failing rejoin cannot
 	// loop forever (at least one degraded superstep separates attempts,
 	// bounded by maxIter).
 	lastRejoin int64
-	// segRec collects per-rank results of a degraded multi-survivor segment;
+	// segRec collects per-rank results of a degraded segment;
 	// folded into res.Recovery when the segment ends. recBase is the
 	// Recovery iteration count at segment start (trace indexing).
 	segRec  []Result
@@ -725,26 +714,9 @@ func (h *heteroF32) softDegrade(stragglers []int, step int64, frontier []graph.V
 	if err := h.coord.InitialAt(step, splitActiveN(frontier, h.assign, h.n)...); err != nil {
 		return nil, nil, fmt.Errorf("soft-degrade checkpoint at superstep %d: %w", step, err)
 	}
-	sub := h.ownerAssign()
-	h.net.NewEpoch()
-	h.net.SetMembers(h.members)
-	h.coord.Reopen()
-	h.coord.SetMembers(h.members)
-	devs := make([]*deviceF32, h.n)
-	for _, r := range h.members {
-		ep, err := h.net.Endpoint(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		devs[r], err = newDeviceF32(h.app, h.g, h.opts[r], r, sub, ep)
-		if err != nil {
-			return nil, nil, fmt.Errorf("soft-degrade engine restart, rank %d: %w", r, err)
-		}
-	}
-	resume := step
-	handshake := func(d *deviceF32) error {
-		d.ep.SetStep(resume)
-		return nil
+	devs, _, err := h.regroup(h.members, h.ownerAssign(), h.cfg.inj)
+	if err != nil {
+		return nil, nil, fmt.Errorf("soft-degrade: %w", err)
 	}
 	for _, s := range stragglers {
 		emitEvent(h.cfg.sink, metrics.Event{
@@ -758,7 +730,7 @@ func (h *heteroF32) softDegrade(stragglers []int, step int64, frontier []graph.V
 	sort.Ints(h.res.SoftDegraded)
 	h.res.SoftDegradeSuperstep = step
 	h.recordHealthGauges()
-	return devs, handshake, nil
+	return devs, atStep(step), nil
 }
 
 // containsInt reports whether xs contains x.
@@ -823,7 +795,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 			}
 			detail := fmt.Sprintf("cooperative abort at superstep boundary %d", step)
 			if degraded {
-				detail = fmt.Sprintf("cooperative abort during degraded window at superstep %d", step)
+				detail = fmt.Sprintf("cooperative abort during degraded segment at superstep %d", step)
 				h.res.Degraded = true
 			}
 			emitEvent(h.cfg.sink, metrics.Event{
@@ -841,131 +813,75 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 			}
 		}
 		if clean {
-			if !degraded {
-				// Clean segment end: convergence, maxIter, or a
-				// straggler-policy checkpoint barrier.
+			endStep := from + seg.iters[lead]
+			conv := true
+			if degraded {
+				conv = h.foldDegraded(seg, lead)
+			} else {
 				h.exec += lockstepSeconds(seg.iterTimes, lead, len(seg.iterTimes[lead]))
-				endStep := from + seg.iters[lead]
 				h.observeHealth(seg, from)
-				conv := true
 				for _, r := range h.members {
-					if !h.res.Dev[r].Converged {
-						conv = false
-					}
+					conv = conv && h.res.Dev[r].Converged
 				}
-				if conv || int(endStep) >= h.maxIter {
-					h.res.Iterations = endStep
-					h.res.Converged = conv
-					return h.finalize(), nil
-				}
-				// The segment stopped at a straggler-policy barrier: act on
-				// the scorer's verdicts, then continue lockstep.
-				var merged []graph.VertexID
-				for _, r := range h.members {
-					merged = append(merged, seg.frontier[r]...)
-				}
-				if sl := h.confirmedStragglers(); len(sl) > 0 {
-					devs2, hs, err := h.softDegrade(sl, endStep, merged)
-					if err != nil {
-						var serr *checkpoint.StoreError
-						if errors.As(err, &serr) {
-							aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-							emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
-							return HeteroResult{}, aerr
-						}
-						return HeteroResult{}, fmt.Errorf("core: soft-degrade at superstep %d failed: %w", endStep, err)
-					}
-					devs = devs2
-					actives = splitActiveN(merged, h.ownerAssign(), h.n)
-					from = endStep
-					handshake = hs
-					continue
-				}
-				if h.rehabReady(from, endStep) {
-					devs2, hs, err := h.rehabilitate(endStep, merged)
-					if err != nil {
-						var serr *checkpoint.StoreError
-						if errors.As(err, &serr) {
-							aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-							emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
-							return HeteroResult{}, aerr
-						}
-						for s := range h.softDown {
-							emitEvent(h.cfg.sink, metrics.Event{
-								Kind: metrics.EventRejoinFailed, Rank: s, Superstep: endStep,
-								Detail: fmt.Sprintf("rehabilitation failed: %v", err),
-							})
-						}
-						// Carry on soft-degraded; the next barrier retries.
-						actives = seg.frontier
-						from = endStep
-						continue
-					}
-					devs = devs2
-					actives = splitActiveN(merged, h.assign, h.n)
-					from = endStep
-					handshake = hs
-					continue
-				}
-				actives = seg.frontier
-				from = endStep
-				handshake = nil
-				continue
 			}
-			executed := seg.iters[lead]
-			conv := h.foldDegraded(seg, lead)
-			endStep := from + executed
-			if healable && !conv && endStep == int64(until) {
-				// The fault plan declares every down rank recovered at this
-				// boundary: heal back to full membership.
-				var merged []graph.VertexID
-				for _, r := range h.members {
-					merged = append(merged, seg.frontier[r]...)
-				}
-				devs2, hs, err := h.rejoin(endStep, merged)
-				if err != nil {
-					var serr *checkpoint.StoreError
-					if errors.As(err, &serr) {
-						aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-						emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
+			if conv || int(endStep) >= h.maxIter || (degraded && !healable) {
+				h.res.Degraded = degraded
+				h.res.Iterations = endStep
+				h.res.Converged = conv
+				return h.finalize(), nil
+			}
+			// The segment stopped at a barrier the supervisor acts on: the
+			// heal boundary the fault plan declares for every down rank, or a
+			// straggler-policy checkpoint barrier.
+			var merged []graph.VertexID
+			for _, r := range h.members {
+				merged = append(merged, seg.frontier[r]...)
+			}
+			var (
+				next      []*deviceF32
+				hs        func(*deviceF32) error
+				err       error
+				returning []int
+			)
+			if degraded {
+				returning = h.down()
+				next, hs, err = h.rejoin(endStep, merged)
+			} else if sl := h.confirmedStragglers(); len(sl) > 0 {
+				if next, hs, err = h.softDegrade(sl, endStep, merged); err != nil {
+					if aerr := h.storeAbort(0, err); aerr != nil {
 						return HeteroResult{}, aerr
 					}
-					for _, c := range h.down() {
-						emitEvent(h.cfg.sink, metrics.Event{
-							Kind: metrics.EventRejoinFailed, Rank: c, Superstep: endStep,
-							Detail: err.Error(),
-						})
-					}
-					// Carry on degraded; the lastRejoin guard stops an
-					// immediate identical retry.
-					h.lastRejoin = endStep
-					actives = seg.frontier
-					from = endStep
-					continue
+					return HeteroResult{}, fmt.Errorf("core: soft-degrade at superstep %d failed: %w", endStep, err)
 				}
-				devs = devs2
-				actives = splitActiveN(merged, h.assign, h.n)
-				from = endStep
-				handshake = hs
-				continue
+			} else if h.rehabReady(from, endStep) {
+				returning = h.softRanks()
+				next, hs, err = h.rehabilitate(endStep, merged)
 			}
-			h.res.Degraded = true
-			h.res.Iterations = endStep
-			h.res.Converged = conv
-			return h.finalize(), nil
+			if aerr := h.storeAbort(0, err); aerr != nil {
+				return HeteroResult{}, aerr
+			}
+			if err != nil {
+				// Carry on with the current group and retry at a later
+				// barrier (the lastRejoin guard makes it strictly later).
+				for _, r := range returning {
+					emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRejoinFailed, Rank: r, Superstep: endStep, Detail: err.Error()})
+				}
+				h.lastRejoin = endStep
+			}
+			if next != nil {
+				devs, handshake = next, hs
+				actives = splitActiveN(merged, h.ownerAssign(), h.n)
+			} else {
+				actives = seg.frontier
+			}
+			from = endStep
+			continue
 		}
 
-		// A failed durable commit is not a device failure: the storage path
-		// is shared, so degrading would keep hitting the same broken disk.
-		// Treat it like a process crash — abort the whole run; the previously
-		// committed generations are intact and a restart with Options.Resume
-		// picks the run back up.
+		// A durable store failure ends the run (see storeAbort).
 		for _, r := range h.members {
-			var serr *checkpoint.StoreError
-			if errors.As(seg.runErr[r], &serr) {
-				err := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", seg.runErr[r])
-				emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: r, Superstep: -1, Detail: err.Error()})
-				return HeteroResult{}, err
+			if aerr := h.storeAbort(r, seg.runErr[r]); aerr != nil {
+				return HeteroResult{}, aerr
 			}
 		}
 
@@ -1057,122 +973,82 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 		for _, c := range convicted {
 			h.downStep[c] = stepOf(c)
 		}
-		downs := h.down()
 		h.recomputeMembers()
 		h.res.FailedRank = convicted[0]
 		h.res.FailedSuperstep = stepOf(convicted[0])
 		h.res.ResumedSuperstep = snap.Superstep
-		h.res.FailedRanks = append([]int(nil), downs...)
+		h.res.FailedRanks = h.down()
 
-		if len(h.members) == 1 {
-			// A single survivor runs without the interconnect: a fresh
-			// single-device engine with no assignment, no endpoint, and no
-			// fault injection (the plan described the group run; re-firing
-			// its events against the survivor would kill recovery).
-			survivor := h.members[0]
-			ropt := h.opts[survivor]
-			ropt.Fault = nil
-			sd, err := newDeviceF32(h.app, h.g, ropt, 0, nil, nil)
-			if err != nil {
-				return HeteroResult{}, fmt.Errorf("core: device failure (%v) and recovery engine failed: %w", firstErr, err)
-			}
-			emitEvent(h.cfg.sink, metrics.Event{
-				Kind: metrics.EventDegraded, Rank: h.res.FailedRank, Superstep: snap.Superstep,
-				Detail: fmt.Sprintf("rank %d survives; restored checkpointed superstep %d, continuing single-device", survivor, snap.Superstep),
-			})
-
-			if !h.cfg.rejoin || len(downs) != 1 {
-				return h.runPermanentDegraded(sd, snap, firstErr)
-			}
-
-			// Rejoin mode: run the survivor superstep-at-a-time, polling the
-			// fault plan for the failed rank's recovery.
-			failed := downs[0]
-			w, err := h.runDegradedWindow(sd, failed, h.downStep[failed], snap)
-			if err != nil {
-				var serr *checkpoint.StoreError
-				if errors.As(err, &serr) {
-					aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-					emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
-					return HeteroResult{}, aerr
-				}
-				return HeteroResult{}, fmt.Errorf("core: device failure (%v) and degraded continuation failed: %w", firstErr, err)
-			}
-			switch w.outcome {
-			case windowAborted:
-				emitEvent(h.cfg.sink, metrics.Event{
-					Kind: metrics.EventRunAborted, Rank: -1, Superstep: w.step,
-					Detail: fmt.Sprintf("cooperative abort during degraded window at superstep %d", w.step),
-				})
-				h.res.Degraded = true
-				h.res.Iterations = w.step
-				return h.finalize(), &RunAbortedError{Superstep: w.step}
-			case windowFinished:
-				h.res.Degraded = true
-				h.res.Iterations = w.step
-				h.res.Converged = w.converged
-				return h.finalize(), nil
-			}
-
-			// windowHealed: restart the failed rank, replay it from a fresh
-			// checkpoint at the rejoin boundary, and re-enter lockstep.
-			devs2, hs, err := h.rejoin(w.step, w.frontier)
-			if err != nil {
-				var serr *checkpoint.StoreError
-				if errors.As(err, &serr) {
-					aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
-					emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: 0, Superstep: -1, Detail: aerr.Error()})
-					return HeteroResult{}, aerr
-				}
-				emitEvent(h.cfg.sink, metrics.Event{
-					Kind: metrics.EventRejoinFailed, Rank: failed, Superstep: w.step,
-					Detail: err.Error(),
-				})
-				return h.runPermanentDegradedFrom(sd, w.step, w.frontier, firstErr)
-			}
-			devs = devs2
-			actives = splitActiveN(w.frontier, h.assign, h.n)
-			from = w.step
-			handshake = hs
-			continue
-		}
-
-		// Two or more survivors: re-partition the dead (and soft-degraded)
-		// ranks' vertices across the survivors and continue lockstep among
-		// them. The injector is suspended while degraded — the surviving
-		// subset replays checkpointed supersteps, and re-firing the plan's
-		// events against it would kill recovery; it is re-armed on heal.
-		subAssign := h.ownerAssign()
-		h.net.NewEpoch()
-		h.net.SetMembers(h.members)
-		h.net.SetInjector(nil)
-		h.coord.Reopen()
-		h.coord.SetMembers(h.members)
-		sdevs := make([]*deviceF32, h.n)
-		for _, r := range h.members {
-			ropt := h.opts[r]
-			ropt.Fault = nil
-			ep, err := h.net.Endpoint(r)
-			if err != nil {
-				return HeteroResult{}, err
-			}
-			sdevs[r], err = newDeviceF32(h.app, h.g, ropt, r, subAssign, ep)
-			if err != nil {
-				return HeteroResult{}, fmt.Errorf("core: device failure (%v) and recovery engine failed: %w", firstErr, err)
-			}
+		// Re-partition the dead (and soft-degraded) ranks' vertices across the
+		// survivors — however many, a lone one included — and continue
+		// lockstep among them. The injector is suspended while degraded: the
+		// survivors replay checkpointed supersteps, and re-firing the plan's
+		// events against them would kill recovery; it is re-armed on heal.
+		owners := h.ownerAssign()
+		devs, _, err = h.regroup(h.members, owners, nil)
+		if err != nil {
+			return HeteroResult{}, fmt.Errorf("core: device failure (%v) and recovery failed: %w", firstErr, err)
 		}
 		emitEvent(h.cfg.sink, metrics.Event{
 			Kind: metrics.EventDegraded, Rank: h.res.FailedRank, Superstep: snap.Superstep,
 			Detail: fmt.Sprintf("ranks %v survive; restored checkpointed superstep %d, continuing %d-device", h.members, snap.Superstep, len(h.members)),
 		})
-		devs = sdevs
-		actives = splitActiveN(snap.MergedFrontier(), subAssign, h.n)
+		actives = splitActiveN(snap.MergedFrontier(), owners, h.n)
 		from = snap.Superstep
-		resumeStep := from
-		handshake = func(d *deviceF32) error {
-			d.ep.SetStep(resumeStep)
-			return nil
+		handshake = atStep(from)
+	}
+}
+
+// storeAbort returns the error that ends the run when err is a durable
+// checkpoint store failure (nil otherwise), recording the abort. A failed
+// durable commit is not a device failure: the storage path is shared, so
+// degrading would keep hitting the same broken disk. It is treated like a
+// process crash — the previously committed generations are intact and a
+// restart with Options.Resume picks the run back up.
+func (h *heteroF32) storeAbort(rank int, err error) error {
+	var serr *checkpoint.StoreError
+	if !errors.As(err, &serr) {
+		return nil
+	}
+	aerr := fmt.Errorf("core: run aborted, durable checkpoint store failed (restart with Options.Resume to recover): %w", err)
+	emitEvent(h.cfg.sink, metrics.Event{Kind: metrics.EventRunAborted, Rank: rank, Superstep: -1, Detail: aerr.Error()})
+	return aerr
+}
+
+// regroup moves the run onto a new membership at a superstep barrier — the
+// one move behind degrade, soft-degrade, rejoin and rehabilitation. It opens
+// a new comm epoch (fencing off packets from before the change), sets the
+// membership on the interconnect and the checkpoint barrier, arms inj on
+// both the interconnect and the engines (nil while survivors replay a
+// checkpoint), and rebuilds one engine per member over the owners vector.
+// The engines are indexed by rank; the new epoch is returned alongside.
+func (h *heteroF32) regroup(members []int, owners []int32, inj *fault.Injector) ([]*deviceF32, uint64, error) {
+	epoch := h.net.NewEpoch()
+	h.net.SetMembers(members)
+	h.net.SetInjector(inj)
+	h.coord.Reopen()
+	h.coord.SetMembers(members)
+	devs := make([]*deviceF32, h.n)
+	for _, r := range members {
+		o := h.opts[r]
+		o.Fault = inj
+		ep, err := h.net.Endpoint(r)
+		if err != nil {
+			return nil, 0, err
 		}
+		if devs[r], err = newDeviceF32(h.app, h.g, o, r, owners, ep); err != nil {
+			return nil, 0, fmt.Errorf("engine restart, rank %d: %w", r, err)
+		}
+	}
+	return devs, epoch, nil
+}
+
+// atStep is the handshake that starts a rank's exchange rounds (and the
+// fault plan's step indices) at superstep step.
+func atStep(step int64) func(*deviceF32) error {
+	return func(d *deviceF32) error {
+		d.ep.SetStep(step)
+		return nil
 	}
 }
 
@@ -1330,7 +1206,7 @@ func (h *heteroF32) healStep(from int64) (int64, bool) {
 	return heal, true
 }
 
-// foldDegraded accumulates a degraded multi-survivor segment's per-rank
+// foldDegraded accumulates a degraded segment's per-rank
 // scratch results into res.Recovery, advances the degraded counters, and
 // reports whether the segment converged.
 func (h *heteroF32) foldDegraded(seg segmentOutcome, lead int) bool {
@@ -1580,128 +1456,45 @@ func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]gra
 	return out
 }
 
-// windowOutcome is how a rejoin-mode degraded window ended.
-type windowOutcome int
-
-const (
-	// windowHealed: the fault plan declared the failed rank recovered; the
-	// supervisor should rejoin it.
-	windowHealed windowOutcome = iota
-	// windowFinished: the run ran out (converged or maxIter) still degraded.
-	windowFinished
-	// windowAborted: Options.Abort stopped the window at a boundary.
-	windowAborted
-)
-
-// windowResult is a degraded window's outcome: the absolute superstep it
-// stopped at and the merged frontier for that superstep.
-type windowResult struct {
-	outcome   windowOutcome
-	step      int64
-	frontier  []graph.VertexID
-	converged bool
-}
-
-// runDegradedWindow drives the lone survivor superstep-at-a-time from the
-// restored checkpoint, checkpointing at the configured cadence, until the
-// fault plan declares the failed rank recovered, the run finishes, or an
-// abort lands. Degraded supersteps accumulate into res.Recovery.
-func (h *heteroF32) runDegradedWindow(sd *deviceF32, failed int, failedStep int64, snap *checkpoint.Snapshot) (windowResult, error) {
-	frontier := snap.MergedFrontier()
-	step := snap.Superstep
-	fixed := IsFixedActive(h.app)
-	initial := frontier
-	for {
-		if abortRequested(h.cfg.abort) {
-			// Final checkpoint at the abort boundary: the window is
-			// single-party, so the snapshot is always consistent.
-			if h.coord != nil {
-				_ = h.coord.InitialAt(step, splitActiveN(frontier, h.assign, h.n)...)
-			}
-			return windowResult{outcome: windowAborted, step: step, frontier: frontier}, nil
-		}
-		if len(frontier) == 0 && !fixed {
-			return windowResult{outcome: windowFinished, step: step, converged: true}, nil
-		}
-		if int(step) >= h.maxIter {
-			return windowResult{outcome: windowFinished, step: step}, nil
-		}
-		// Heal check before running superstep `step`: the rank rejoins at
-		// the boundary the plan declares it recovered at. The lastRejoin
-		// guard keeps a deterministically failing rejoin from looping.
-		if step > h.lastRejoin && h.cfg.inj.RecoverAt(failed, failedStep, step) {
-			return windowResult{outcome: windowHealed, step: step, frontier: frontier}, nil
-		}
-		sd.step = step
-		next, c, pt, err := sd.runIteration(frontier)
-		if err != nil {
-			err = fmt.Errorf("core: superstep %d: %w", step, err)
-			emitEvent(sd.opt.Metrics, metrics.Event{
-				Kind: metrics.EventSuperstepError, Rank: sd.rank,
-				Superstep: step, Detail: err.Error(),
-			})
-			return windowResult{}, err
-		}
-		sd.recordTrace(h.res.Recovery.Iterations, c, pt)
-		sd.recordMetrics(step, c, pt)
-		sd.recordIter(&h.res.Recovery, c, pt)
-		h.exec += pt.Generate + pt.Process + pt.Update
-		h.res.DegradedSupersteps++
-		step++
-		if fixed {
-			frontier = initial
-		} else {
-			frontier = next
-		}
-		if h.coord != nil && h.coord.Due(step) {
-			if err := h.coord.InitialAt(step, splitActiveN(frontier, h.assign, h.n)...); err != nil {
-				return windowResult{}, err
-			}
-		}
-	}
-}
-
 // restoreFullMembership re-admits every rank at superstep `step`: it
 // captures a fresh checkpoint at the boundary, replays the restarted
 // engines from it (state is partitioned by ownership, so the restored arrays
-// carry exactly the supersteps the returning ranks missed), opens a new comm
-// epoch so packets from before the membership change are fenced off,
-// restores full membership on the interconnect and the checkpoint barrier,
-// re-arms the fault injector, and rebuilds every rank engine against the
-// original assignment. The returned handshake runs RejoinHandshake on each
-// rank before the next segment. Shared by rejoin (dead ranks healing) and
-// rehabilitate (soft-degraded stragglers returning).
-func (h *heteroF32) restoreFullMembership(step int64, frontier []graph.VertexID) (devs []*deviceF32, handshake func(*deviceF32) error, gen uint64, epoch uint64, err error) {
-	devs = make([]*deviceF32, h.n)
+// carry exactly the supersteps the returning ranks missed), and regroups the
+// whole group onto the original assignment with the fault injector re-armed.
+// The returned handshake runs RejoinHandshake on each rank before the next
+// segment. Shared by rejoin (dead ranks healing) and rehabilitate
+// (soft-degraded stragglers returning). A heal restores the whole group,
+// soft-demotions included: re-admitting a still-on-probation rank keeps the
+// membership invariant (owners + down + soft-degraded = all ranks) simple,
+// and the scorer simply re-demotes it if it is still slow. On error the
+// membership is left as it was.
+func (h *heteroF32) restoreFullMembership(step int64, frontier []graph.VertexID) (handshake func(*deviceF32) error, devs []*deviceF32, gen, epoch uint64, err error) {
 	if err := h.coord.InitialAt(step, splitActiveN(frontier, h.assign, h.n)...); err != nil {
-		return devs, nil, 0, 0, fmt.Errorf("rejoin checkpoint at superstep %d: %w", step, err)
+		return nil, nil, 0, 0, fmt.Errorf("re-admission checkpoint at superstep %d: %w", step, err)
 	}
 	// The replay: the restarted ranks load the boundary snapshot. The arrays
 	// are shared in-process, so this also re-verifies the snapshot decodes.
-	snap := h.coord.Latest()
-	if err := h.snapper.Restore(snap.State); err != nil {
-		return devs, nil, 0, 0, fmt.Errorf("rejoin replay at superstep %d: %w", step, err)
+	if err := h.snapper.Restore(h.coord.Latest().State); err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("re-admission replay at superstep %d: %w", step, err)
 	}
 	if h.store != nil {
 		if gens := h.store.Generations(); len(gens) > 0 {
 			gen = gens[0].Gen
 		}
 	}
-	epoch = h.net.NewEpoch()
-	h.net.SetMembers(allRanks(h.n))
-	h.net.SetInjector(h.cfg.inj)
-	h.coord.Reopen()
-	h.coord.SetMembers(allRanks(h.n))
-	for r := 0; r < h.n; r++ {
-		ep, err := h.net.Endpoint(r)
-		if err != nil {
-			return devs, nil, 0, 0, err
-		}
-		devs[r], err = newDeviceF32(h.app, h.g, h.opts[r], r, h.assign, ep)
-		if err != nil {
-			return devs, nil, 0, 0, fmt.Errorf("rejoin engine restart, rank %d: %w", r, err)
+	devs, epoch, err = h.regroup(allRanks(h.n), h.assign, h.cfg.inj)
+	if err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("re-admission: %w", err)
+	}
+	for s := range h.softDown {
+		if h.health != nil {
+			h.health.Reset(s)
 		}
 	}
+	h.downStep = map[int]int64{}
+	h.softDown = map[int]int64{}
+	h.lastRejoin = step
+	h.recomputeMembers()
 	handshake = func(d *deviceF32) error {
 		if err := d.ep.RejoinHandshake(epoch, gen, step); err != nil {
 			return err
@@ -1709,17 +1502,18 @@ func (h *heteroF32) restoreFullMembership(step int64, frontier []graph.VertexID)
 		d.ep.SetStep(step)
 		return nil
 	}
-	return devs, handshake, gen, epoch, nil
+	return handshake, devs, gen, epoch, nil
 }
 
 // rejoin restarts the down ranks for re-admission at superstep `step`,
 // returning the run to full-group lockstep.
 func (h *heteroF32) rejoin(step int64, frontier []graph.VertexID) ([]*deviceF32, func(*deviceF32) error, error) {
-	devs, handshake, gen, epoch, err := h.restoreFullMembership(step, frontier)
+	returning := h.down()
+	handshake, devs, gen, epoch, err := h.restoreFullMembership(step, frontier)
 	if err != nil {
-		return devs, nil, err
+		return nil, nil, err
 	}
-	for _, c := range h.down() {
+	for _, c := range returning {
 		emitEvent(h.cfg.sink, metrics.Event{
 			Kind: metrics.EventRejoined, Rank: c, Superstep: step,
 			Detail: fmt.Sprintf("rank %d restarted from generation %d, rejoined at superstep %d (epoch %d)", c, gen, step, epoch),
@@ -1728,19 +1522,6 @@ func (h *heteroF32) rejoin(step int64, frontier []graph.VertexID) ([]*deviceF32,
 	h.res.Healed = true
 	h.res.RejoinSuperstep = step
 	h.res.FailedRanks = nil
-	h.lastRejoin = step
-	h.downStep = map[int]int64{}
-	// A heal restores the whole group, soft-demotions included: re-admitting
-	// a still-on-probation rank here keeps the membership invariant (owners
-	// + down + soft-degraded = all ranks) simple, and the scorer will simply
-	// re-demote it if it is still slow.
-	for s := range h.softDown {
-		delete(h.softDown, s)
-		if h.health != nil {
-			h.health.Reset(s)
-		}
-	}
-	h.recomputeMembers()
 	return devs, handshake, nil
 }
 
@@ -1750,9 +1531,9 @@ func (h *heteroF32) rejoin(step int64, frontier []graph.VertexID) ([]*deviceF32,
 // failed, so Healed and FailedRanks stay untouched.
 func (h *heteroF32) rehabilitate(step int64, frontier []graph.VertexID) ([]*deviceF32, func(*deviceF32) error, error) {
 	ranks := h.softRanks()
-	devs, handshake, gen, epoch, err := h.restoreFullMembership(step, frontier)
+	handshake, devs, gen, epoch, err := h.restoreFullMembership(step, frontier)
 	if err != nil {
-		return devs, nil, err
+		return nil, nil, err
 	}
 	for _, s := range ranks {
 		emitEvent(h.cfg.sink, metrics.Event{
@@ -1762,67 +1543,11 @@ func (h *heteroF32) rehabilitate(step int64, frontier []graph.VertexID) ([]*devi
 		if !containsInt(h.res.Rehabilitated, s) {
 			h.res.Rehabilitated = append(h.res.Rehabilitated, s)
 		}
-		h.health.Reset(s)
 	}
 	sort.Ints(h.res.Rehabilitated)
 	h.res.RehabilitateSuperstep = step
-	h.lastRejoin = step
-	h.softDown = map[int]int64{}
-	h.recomputeMembers()
 	h.recordHealthGauges()
 	return devs, handshake, nil
-}
-
-// runPermanentDegraded finishes the run single-device from the restored
-// checkpoint — the non-rejoin degradation path, unchanged from before
-// rejoin existed (one batched runF32Loop continuation).
-func (h *heteroF32) runPermanentDegraded(sd *deviceF32, snap *checkpoint.Snapshot, firstErr error) (HeteroResult, error) {
-	remaining := h.maxIter - int(snap.Superstep)
-	rec, err := runF32Loop(sd, snap.MergedFrontier(), remaining)
-	var aerr *RunAbortedError
-	if err != nil && !errors.As(err, &aerr) {
-		return HeteroResult{}, fmt.Errorf("core: device failure (%v) and degraded continuation failed: %w", firstErr, err)
-	}
-	h.res.Degraded = true
-	h.res.Recovery = rec
-	h.res.Iterations = snap.Superstep + rec.Iterations
-	h.res.Converged = rec.Converged
-	h.res.DegradedSupersteps += rec.Iterations
-	h.exec += rec.Phases.Generate + rec.Phases.Process + rec.Phases.Update
-	if aerr != nil {
-		abs := snap.Superstep + aerr.Superstep
-		h.res.Iterations = abs
-		h.res.Converged = false
-		return h.finalize(), &RunAbortedError{Superstep: abs}
-	}
-	return h.finalize(), nil
-}
-
-// runPermanentDegradedFrom finishes the run single-device from an arbitrary
-// mid-window boundary — the fallback when a rejoin attempt fails.
-func (h *heteroF32) runPermanentDegradedFrom(sd *deviceF32, step int64, frontier []graph.VertexID, firstErr error) (HeteroResult, error) {
-	rec, err := runF32Loop(sd, frontier, h.maxIter-int(step))
-	var aerr *RunAbortedError
-	if err != nil && !errors.As(err, &aerr) {
-		return HeteroResult{}, fmt.Errorf("core: device failure (%v) and degraded continuation failed: %w", firstErr, err)
-	}
-	h.res.Degraded = true
-	h.res.Recovery.Iterations += rec.Iterations
-	h.res.Recovery.Converged = rec.Converged
-	h.res.Recovery.Counters.Add(rec.Counters)
-	h.res.Recovery.Phases.Add(rec.Phases)
-	h.res.Recovery.SimSeconds = h.res.Recovery.Phases.Total()
-	h.res.Iterations = step + rec.Iterations
-	h.res.Converged = rec.Converged
-	h.res.DegradedSupersteps += rec.Iterations
-	h.exec += rec.Phases.Generate + rec.Phases.Process + rec.Phases.Update
-	if aerr != nil {
-		abs := step + aerr.Superstep
-		h.res.Iterations = abs
-		h.res.Converged = false
-		return h.finalize(), &RunAbortedError{Superstep: abs}
-	}
-	return h.finalize(), nil
 }
 
 // recordLinks pushes the interconnect's per-link traffic and integrity

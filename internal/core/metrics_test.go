@@ -167,7 +167,44 @@ func TestMetricsDegradedRunEventLog(t *testing.T) {
 	}
 }
 
-// TestMetricsSuperstepErrorReturnsPartialResult checks the runF32Loop fix:
+// TestMetricsLoneSurvivorRun checks the telemetry of a 2-rank run whose
+// rank 0 drops, leaving rank 1 as the only owner: every sample recorded
+// after the failure is labelled with the survivor's real rank, and the
+// degraded stretch keeps checkpointing at the configured cadence.
+func TestMetricsLoneSurvivorRun(t *testing.T) {
+	g := chaosGraph(t)
+	assign := chaosAssign(t, g)
+	const iters, failAt = 8, 3
+	opt0, opt1 := chaosOpts(iters, 1, "rank0:drop@3", t)
+	col := metrics.NewCollector()
+	opt0.Metrics, opt1.Metrics = col, col
+	res, err := core.RunF32Hetero(apps.NewPageRank(), g, assign, opt0, opt1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || res.FailedRank != 0 {
+		t.Fatalf("Degraded=%v FailedRank=%d, want degraded rank 0", res.Degraded, res.FailedRank)
+	}
+	for _, s := range col.Phases() {
+		if s.Rank == 0 && s.Superstep >= failAt {
+			t.Fatalf("post-failure sample labelled rank 0: %+v", s)
+		}
+	}
+	if got := len(samplesFor(col, 1, metrics.PhaseProcess)); got != iters {
+		t.Errorf("rank 1 recorded %d process samples, want one per superstep (%d)", got, iters)
+	}
+	var past []int64
+	for _, e := range col.Events() {
+		if e.Kind == metrics.EventCheckpoint && e.Superstep > failAt {
+			past = append(past, e.Superstep)
+		}
+	}
+	if len(past) != iters-failAt {
+		t.Errorf("checkpoints past the failure at supersteps %v, want every boundary in (%d, %d]", past, failAt, iters)
+	}
+}
+
+// TestMetricsSuperstepErrorReturnsPartialResult checks the RunF32 loop:
 // a mid-run failure must surface the superstep index in the error, keep the
 // counters accumulated so far, and log a superstep-error event.
 func TestMetricsSuperstepErrorReturnsPartialResult(t *testing.T) {

@@ -390,20 +390,65 @@ func (b *Buffer) allocColumn(gr *group, posIn int) int32 {
 
 // ColumnFills appends the per-column message counts of this iteration to
 // dst and returns it; the cost model's contention estimator consumes these.
+// Fills are emitted in sorted-position order (each occupied vertex's column,
+// group by group), not column order: under dynamic allocation which column a
+// vertex lands in depends on message arrival order, so column order would
+// make the estimator's float summation schedule-dependent. In one-to-one
+// mode position and column coincide.
 func (b *Buffer) ColumnFills(dst []int32) []int32 {
 	for gi := range b.groups {
-		gr := &b.groups[gi]
-		limit := int(atomic.LoadInt32(&gr.colOffset))
-		if limit > len(gr.fill) {
-			limit = len(gr.fill)
-		}
-		for c := 0; c < limit; c++ {
-			if f := atomic.LoadInt32(&gr.fill[c]); f > 0 {
-				dst = append(dst, f)
-			}
-		}
+		walkOccupied(&b.groups[gi], func(f int32) { dst = append(dst, f) })
 	}
 	return dst
+}
+
+// ChargedRows returns the SIMD rows the vectorized reduction of this
+// iteration is charged for (Counters.VecRows). In one-to-one mode that is
+// the real per-array maximum fill, summed over arrays. In dynamic mode the
+// real packing depends on arrival order, so the charge is what it would be
+// had the occupied columns been packed in sorted-position order: each run of
+// Width consecutive occupied vertices of a group counts its largest fill.
+// Either way the charge is a function of the per-vertex message counts alone,
+// so identical inputs are charged identical rows at any thread count.
+func (b *Buffer) ChargedRows() int64 {
+	var rows int64
+	if b.cfg.Mode == OneToOne {
+		for t := 0; t < b.NumTasks(); t++ {
+			_, r := b.Task(t)
+			rows += int64(r)
+		}
+		return rows
+	}
+	w := int(b.cfg.Width)
+	for gi := range b.groups {
+		var chunkMax int32
+		n := 0
+		walkOccupied(&b.groups[gi], func(f int32) {
+			chunkMax = max(chunkMax, f)
+			if n++; n == w {
+				rows += int64(chunkMax)
+				chunkMax, n = 0, 0
+			}
+		})
+		rows += int64(chunkMax)
+	}
+	return rows
+}
+
+// walkOccupied calls fn with the fill of every occupied column of gr, in
+// position order.
+func walkOccupied(gr *group, fn func(fill int32)) {
+	used := int(atomic.LoadInt32(&gr.colOffset))
+	for pos := 0; pos < len(gr.index) && used > 0; pos++ {
+		col := atomic.LoadInt32(&gr.index[pos])
+		if col < 0 {
+			continue
+		}
+		used--
+		if f := atomic.LoadInt32(&gr.fill[col]); f > 0 {
+			fn(f)
+		}
+	}
 }
 
 // ColumnsUsed returns the number of columns allocated this iteration.

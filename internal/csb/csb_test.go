@@ -326,6 +326,51 @@ func TestColumnFillsAndOccupancy(t *testing.T) {
 	}
 }
 
+// TestChargedRowsIgnoreArrivalOrder: under dynamic allocation the column a
+// vertex lands in depends on which of its messages arrives first, but the
+// contention fills and the charged SIMD rows must not.
+func TestChargedRowsIgnoreArrivalOrder(t *testing.T) {
+	// Width 2, one group of four equal-degree vertices (positions = IDs).
+	// Fills by vertex: 0:3, 1:1, 2:3, 3:1.
+	msgs := []graph.VertexID{0, 0, 0, 1, 2, 2, 2, 3}
+	orders := map[string][]graph.VertexID{
+		"position": msgs,
+		// 0 and 2 claim the first array, 1 and 3 the second: two real rows
+		// fewer than the position-order packing.
+		"interleaved": {0, 2, 1, 3, 0, 0, 2, 2},
+		"reversed":    {3, 2, 2, 2, 1, 0, 0, 0},
+	}
+	for name, order := range orders {
+		b, err := BuildFromDegrees([]int32{3, 3, 3, 3}, Config{Width: 2, K: 2, Identity: 0, Mode: Dynamic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range order {
+			b.Insert(v, 1)
+		}
+		if got := b.ColumnFills(nil); !reflect.DeepEqual(got, []int32{3, 1, 3, 1}) {
+			t.Errorf("%s: ColumnFills = %v, want position order [3 1 3 1]", name, got)
+		}
+		// Position-order packing: {0,1} -> 3 rows, {2,3} -> 3 rows.
+		if got := b.ChargedRows(); got != 6 {
+			t.Errorf("%s: ChargedRows = %d, want 6", name, got)
+		}
+	}
+}
+
+// TestChargedRowsOneToOne: the fixed mapping charges the real per-array
+// maxima, bubbles included.
+func TestChargedRowsOneToOne(t *testing.T) {
+	b := paperBuffer(t, OneToOne)
+	for _, m := range paperMessages() {
+		b.Insert(m.dst, m.val)
+	}
+	rows, _ := b.OccupancyStats()
+	if got := b.ChargedRows(); got != rows {
+		t.Errorf("ChargedRows = %d, want the occupied arrays' %d rows", got, rows)
+	}
+}
+
 func TestBuildFromDegrees(t *testing.T) {
 	in := []int32{0, 3, 1, 7, 0, 2}
 	b, err := BuildFromDegrees(in, Config{Width: 2, K: 1, Identity: 0, Mode: Dynamic})

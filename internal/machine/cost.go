@@ -118,9 +118,9 @@ func (m CostModel) GeneratePipelined(c Counters, workers, movers int) float64 {
 
 // Process returns the simulated time of one message-processing step.
 // When vectorized (and the app's reduction is SIMD-eligible), the work is
-// the real number of vector rows priced at VecOpNS; otherwise each message
-// costs a scalar op. Lane bubbles are therefore captured by the measured
-// VecRows, not by a constant.
+// the charged number of vector rows priced at VecOpNS; otherwise each
+// message costs a scalar op. Lane bubbles are therefore captured by the
+// counted VecRows, not by a constant.
 func (m CostModel) Process(c Counters, threads int, vectorized bool) float64 {
 	t := float64(threads)
 	var compute float64

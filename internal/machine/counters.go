@@ -45,7 +45,9 @@ type Counters struct {
 	// of the iteration (the CSB identity fill); it charges the framework's
 	// buffer-storage overhead, which matters on the bandwidth-poor CPU.
 	BufferResetBytes int64
-	// VecRows counts SIMD rows reduced during message processing.
+	// VecRows counts the SIMD rows message processing is charged for: the
+	// CSB's rows as packed in a canonical, arrival-order-independent
+	// column order (csb.Buffer.ChargedRows), so the charge is deterministic.
 	VecRows int64
 	// ReducedMessages counts messages consumed by message processing
 	// (vector or scalar path alike; the scalar path costs one op each).
