@@ -88,15 +88,16 @@ type directionState struct {
 	vals []float32
 }
 
-// newDirectionState builds the pull machinery for one device. The
-// transpose is built per device: every rank holds the full CSR already,
-// and the in-edge structure must cover remote parents too (they are
-// skipped during the sweep but present in the adjacency).
-func newDirectionState(p PullerF32, g *graph.CSR, rank int, assign []int32) *directionState {
+// newDirectionState builds the pull machinery for one device over tg, g's
+// transpose. One transpose serves the whole device group (see
+// pullTranspose): every rank holds the full CSR already, and the in-edge
+// structure must cover remote parents too (they are skipped during the
+// sweep but present in the adjacency).
+func newDirectionState(p PullerF32, g, tg *graph.CSR, rank int, assign []int32) *directionState {
 	n := g.NumVertices()
 	ds := &directionState{
 		puller:     p,
-		tg:         g.Transpose(),
+		tg:         tg,
 		weighted:   g.Weighted(),
 		frontier:   frontier.NewBitmap(n),
 		everActive: frontier.NewBitmap(n),

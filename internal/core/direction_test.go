@@ -137,31 +137,59 @@ func TestDirectionOracleHetero(t *testing.T) {
 }
 
 // TestDirectionDegradedRejoinOracle: an auto-direction group run through a
-// flaky-rank fault plan (degrade at superstep 2, rejoin two supersteps
-// later) still lands exactly on the classic answer — the direction state is
-// reconstructed from app state, not from history the failed rank lost.
+// flaky-rank fault plan (degrade, then rejoin two supersteps later) still
+// lands exactly on the classic answer — the direction state is
+// reconstructed from app state, not from history the failed rank lost. Every
+// engine the regroups build shares the run's one transpose.
 func TestDirectionDegradedRejoinOracle(t *testing.T) {
 	g := chaosGraph(t)
-	want := seqref.ClassicSSSP(g, 0)
-	const n = 3
-	assign := nrankAssign(t, g, n)
-	opts := nrankOpts(t, n, core.DefaultMaxIterations, 1, "rank2:flaky@2x2")
-	opts[0].Rejoin = true
-	for r := range opts {
-		opts[r].Direction = core.DirectionAuto
+	wantSSSP := seqref.ClassicSSSP(g, 0)
+	wantBFS := seqref.ClassicBFS(g, 0)
+	cases := []struct {
+		name  string
+		ranks int
+		plan  string
+		bfs   bool
+	}{
+		{"sssp/ranks=3", 3, "rank2:flaky@2x2", false},
+		{"bfs/ranks=4", 4, "rank2:flaky@1x2", true},
 	}
-	app := apps.NewSSSP(0)
-	res, err := core.RunF32Hetero(app, g, assign, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Healed {
-		t.Fatal("run did not heal despite flaky fault and Rejoin")
-	}
-	for v := range want {
-		if app.Dist[v] != want[v] {
-			t.Fatalf("dist[%d] = %v, want %v", v, app.Dist[v], want[v])
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			assign := nrankAssign(t, g, tc.ranks)
+			opts := nrankOpts(t, tc.ranks, core.DefaultMaxIterations, 1, tc.plan)
+			opts[0].Rejoin = true
+			for r := range opts {
+				opts[r].Direction = core.DirectionAuto
+			}
+			bfs, sssp := apps.NewBFS(0), apps.NewSSSP(0)
+			var app core.AppF32 = sssp
+			if tc.bfs {
+				app = bfs
+			}
+			res, err := core.RunF32Hetero(app, g, assign, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.DegradedSupersteps == 0 || !res.Healed {
+				t.Fatalf("DegradedSupersteps=%d Healed=%v, want a degrade then a heal", res.DegradedSupersteps, res.Healed)
+			}
+			pulls := res.Recovery.Counters.PullSupersteps
+			for _, d := range res.Dev {
+				pulls += d.Counters.PullSupersteps
+			}
+			if pulls == 0 {
+				t.Fatal("no rank ever pulled: the shared transpose was never read")
+			}
+			for v := range wantSSSP {
+				if tc.bfs && bfs.Levels[v] != wantBFS[v] {
+					t.Fatalf("level[%d] = %d, want %d", v, bfs.Levels[v], wantBFS[v])
+				}
+				if !tc.bfs && sssp.Dist[v] != wantSSSP[v] {
+					t.Fatalf("dist[%d] = %v, want %v", v, sssp.Dist[v], wantSSSP[v])
+				}
+			}
+		})
 	}
 }
 

@@ -69,7 +69,12 @@ type remoteCombinerF32 interface {
 	Len() int
 }
 
-func newDeviceF32(app AppF32, g *graph.CSR, opt Options, rank int, assign []int32, ep *comm.Endpoint[float32]) (*deviceF32, error) {
+// newDeviceF32 builds one device's engine. tg is g's transpose, shared
+// read-only by every device of the run; it is consulted only when the device
+// may pull (see pullTranspose), and nil otherwise. The pipelined engine comes
+// from the process-wide pool: callers hand it back with release once the
+// device's goroutine has returned.
+func newDeviceF32(app AppF32, g, tg *graph.CSR, opt Options, rank int, assign []int32, ep *comm.Endpoint[float32]) (*deviceF32, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -88,12 +93,6 @@ func newDeviceF32(app AppF32, g *graph.CSR, opt Options, rank int, assign []int3
 		return nil, err
 	}
 	d := &deviceF32{app: app, g: g, opt: opt, cm: cm, buf: buf, rank: rank, assign: assign, ep: ep}
-	if opt.Scheme == SchemePipelined {
-		d.pipe, err = pipeline.NewPipelined[float32](opt.Workers, opt.Movers, opt.GenBatchSize)
-		if err != nil {
-			return nil, err
-		}
-	}
 	if assign != nil {
 		if IsOrderSensitive(app) {
 			d.remote = comm.NewSortingCombiner[float32](g.NumVertices(), app.ReduceScalar)
@@ -104,12 +103,50 @@ func newDeviceF32(app AppF32, g *graph.CSR, opt Options, rank int, assign []int3
 	d.sortLanes = IsOrderSensitive(app)
 	if opt.Direction != DirectionPush {
 		if p, ok := app.(PullerF32); ok {
-			d.din = newDirectionState(p, g, rank, assign)
+			d.din = newDirectionState(p, g, tg, rank, assign)
 		} else if opt.Direction == DirectionPull {
 			return nil, &InvalidOptionsError{Field: "Direction", Reason: fmt.Sprintf("pull requires the application to implement core.PullerF32; %T does not (auto falls back to push)", app)}
 		}
 	}
+	if opt.Scheme == SchemePipelined {
+		d.pipe, err = pipeline.Acquire[float32](opt.Workers, opt.Movers, opt.GenBatchSize)
+		if err != nil {
+			return nil, err
+		}
+	}
 	return d, nil
+}
+
+// pullTranspose returns g's transpose when app can pull and some option asks
+// for a direction other than push, nil otherwise. A run builds it once and
+// every device's pull sweep reads it; nothing writes it.
+func pullTranspose(app AppF32, g *graph.CSR, opts ...Options) *graph.CSR {
+	if _, ok := app.(PullerF32); !ok {
+		return nil
+	}
+	for _, o := range opts {
+		if o.Direction != DirectionPush {
+			return g.Transpose()
+		}
+	}
+	return nil
+}
+
+// release returns the device's pipelined engine to the pool. Call it only
+// after the device's goroutine has returned, and never for a convicted or
+// fenced rank's device (its engine is left to the GC).
+func (d *deviceF32) release() {
+	if d != nil && d.pipe != nil {
+		d.pipe.Release()
+		d.pipe = nil
+	}
+}
+
+// releaseF32 releases every non-nil device in devs.
+func releaseF32(devs []*deviceF32) {
+	for _, d := range devs {
+		d.release()
+	}
 }
 
 // local reports whether this device owns v.
@@ -511,10 +548,11 @@ func RunF32(app AppF32, g *graph.CSR, opt Options) (Result, error) {
 	if err := validateRunArgs(app, g); err != nil {
 		return Result{}, err
 	}
-	d, err := newDeviceF32(app, g, opt, 0, nil, nil)
+	d, err := newDeviceF32(app, g, pullTranspose(app, g, opt), opt, 0, nil, nil)
 	if err != nil {
 		return Result{}, err
 	}
+	defer d.release()
 	active := app.Init(g)
 	start := time.Now()
 	var res Result

@@ -71,7 +71,7 @@ func newDeviceGeneric[T any](app AppGeneric[T], g *graph.CSR, opt Options, rank 
 		rank: rank, assign: assign, ep: ep,
 	}
 	if opt.Scheme == SchemePipelined {
-		d.pipe, err = pipeline.NewPipelined[T](opt.Workers, opt.Movers, opt.GenBatchSize)
+		d.pipe, err = pipeline.Acquire[T](opt.Workers, opt.Movers, opt.GenBatchSize)
 		if err != nil {
 			return nil, err
 		}
@@ -80,6 +80,15 @@ func newDeviceGeneric[T any](app AppGeneric[T], g *graph.CSR, opt Options, rank 
 		d.remote = comm.NewCombiner(g.NumVertices(), app.Combine)
 	}
 	return d, nil
+}
+
+// release returns the device's pooled pipelined engine; call it only after
+// the device's goroutine has returned.
+func (d *deviceGeneric[T]) release() {
+	if d != nil && d.pipe != nil {
+		d.pipe.Release()
+		d.pipe = nil
+	}
 }
 
 func (d *deviceGeneric[T]) local(v graph.VertexID) bool {
@@ -288,6 +297,7 @@ func RunGeneric[T any](app AppGeneric[T], g *graph.CSR, opt Options) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
+	defer d.release()
 	var res Result
 	active := app.Init(g)
 	fixed := IsFixedActive(app)
@@ -505,6 +515,13 @@ func RunGenericHetero[T any](app AppGeneric[T], g *graph.CSR, assign []int32, de
 		}(r)
 	}
 	wg.Wait()
+	// Every rank goroutine has returned; a failed rank's engine is left to
+	// the GC.
+	for r, d := range devs {
+		if runErr[r] == nil {
+			d.release()
+		}
+	}
 	// An abort takes precedence over the peers' collateral failure errors.
 	for r := 0; r < n; r++ {
 		var aerr *RunAbortedError

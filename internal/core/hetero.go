@@ -32,7 +32,9 @@ type HeteroResult struct {
 	// restored checkpoint plus the degraded segments' lockstep time.
 	ExecSeconds float64
 	// CommSeconds is the modeled interconnect exchange time (including the
-	// per-iteration active-count allreduce).
+	// per-iteration active-count allreduce), over the same supersteps as
+	// ExecSeconds: each lockstep stretch's rounds as the lowest live rank
+	// saw them, degraded stretches included.
 	CommSeconds float64
 	// SimSeconds = ExecSeconds + CommSeconds.
 	SimSeconds float64
@@ -370,13 +372,14 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 		opts[r].StragglerPolicy = cfg.stragglerPolicy
 	}
 	resolveTraceLabels(opts)
+	tg := pullTranspose(app, g, opts...)
 	devs := make([]*deviceF32, n)
 	for r := 0; r < n; r++ {
 		ep, err := net.Endpoint(r)
 		if err != nil {
 			return HeteroResult{}, err
 		}
-		devs[r], err = newDeviceF32(app, g, opts[r], r, assign, ep)
+		devs[r], err = newDeviceF32(app, g, tg, opts[r], r, assign, ep)
 		if err != nil {
 			return HeteroResult{}, err
 		}
@@ -463,7 +466,7 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 	}
 
 	h := &heteroF32{
-		app: app, g: g, assign: assign, net: net, cfg: cfg, opts: opts,
+		app: app, g: g, tg: tg, assign: assign, net: net, cfg: cfg, opts: opts,
 		snapper: snapper, coord: coord, store: store,
 		n: n, members: allRanks(n), downStep: map[int]int64{},
 		softDown: map[int]int64{}, suspects: map[int]bool{},
@@ -503,6 +506,7 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 type heteroF32 struct {
 	app     AppF32
 	g       *graph.CSR
+	tg      *graph.CSR // g's transpose when some rank may pull, shared by every engine
 	assign  []int32
 	net     *comm.Net[float32]
 	cfg     robustnessConfig
@@ -527,6 +531,7 @@ type heteroF32 struct {
 
 	res  HeteroResult
 	exec float64 // accumulated compute seconds (lockstep maxes, degraded segments included)
+	comm float64 // accumulated exchange seconds (each segment's lead rank, degraded segments included)
 	// lastRejoin guards rejoin progress: a new rejoin only happens at a
 	// strictly later superstep, so a deterministically failing rejoin cannot
 	// loop forever (at least one degraded superstep separates attempts,
@@ -781,6 +786,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				h.foldDegraded(seg, lead)
 			} else {
 				h.exec += lockstepSeconds(seg.iterTimes, lead, len(seg.iterTimes[lead]))
+				h.addComm(seg, lead, len(seg.exchTimes[lead]))
 			}
 			// Best-effort final checkpoint: only when every live rank stopped
 			// at the same boundary is the shared state a consistent snapshot.
@@ -803,6 +809,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				Detail: detail,
 			})
 			h.res.Iterations = step
+			releaseF32(devs)
 			return h.finalize(), &RunAbortedError{Superstep: step}
 		}
 
@@ -819,6 +826,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				conv = h.foldDegraded(seg, lead)
 			} else {
 				h.exec += lockstepSeconds(seg.iterTimes, lead, len(seg.iterTimes[lead]))
+				h.addComm(seg, lead, len(seg.exchTimes[lead]))
 				h.observeHealth(seg, from)
 				for _, r := range h.members {
 					conv = conv && h.res.Dev[r].Converged
@@ -828,6 +836,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				h.res.Degraded = degraded
 				h.res.Iterations = endStep
 				h.res.Converged = conv
+				releaseF32(devs)
 				return h.finalize(), nil
 			}
 			// The segment stopped at a barrier the supervisor acts on: the
@@ -869,6 +878,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				h.lastRejoin = endStep
 			}
 			if next != nil {
+				releaseF32(devs)
 				devs, handshake = next, hs
 				actives = splitActiveN(merged, h.ownerAssign(), h.n)
 			} else {
@@ -969,6 +979,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 		// past it was recomputed and is not double-counted; iterTimes index
 		// supersteps relative to the segment's start).
 		h.exec += lockstepSeconds(seg.iterTimes, lead, int(snap.Superstep-from))
+		h.addComm(seg, lead, int(snap.Superstep-from))
 
 		for _, c := range convicted {
 			h.downStep[c] = stepOf(c)
@@ -984,6 +995,12 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 		// lockstep among them. The injector is suspended while degraded: the
 		// survivors replay checkpointed supersteps, and re-firing the plan's
 		// events against them would kill recovery; it is re-armed on heal.
+		// The survivors' old engines go back to the pool for the regroup to
+		// reuse; a convicted or fenced rank's engine is left to the GC.
+		for _, c := range convicted {
+			devs[c] = nil
+		}
+		releaseF32(devs)
 		owners := h.ownerAssign()
 		devs, _, err = h.regroup(h.members, owners, nil)
 		if err != nil {
@@ -1036,7 +1053,7 @@ func (h *heteroF32) regroup(members []int, owners []int32, inj *fault.Injector) 
 		if err != nil {
 			return nil, 0, err
 		}
-		if devs[r], err = newDeviceF32(h.app, h.g, o, r, owners, ep); err != nil {
+		if devs[r], err = newDeviceF32(h.app, h.g, h.tg, o, r, owners, ep); err != nil {
 			return nil, 0, fmt.Errorf("engine restart, rank %d: %w", r, err)
 		}
 	}
@@ -1226,7 +1243,19 @@ func (h *heteroF32) foldDegraded(seg segmentOutcome, lead int) bool {
 	}
 	h.res.DegradedSupersteps += executed
 	h.exec += lockstepSeconds(seg.iterTimes, lead, int(executed))
+	h.addComm(seg, lead, int(executed))
 	return conv
+}
+
+// addComm adds the lead rank's exchange seconds over the segment's first n
+// supersteps to the run's communication time, one superstep at a time (so a
+// run that never leaves full membership sums exactly as rank 0's own
+// Phases.Exchange does). Exchange time is per-round and full-duplex, so one
+// member's rounds stand for the group's.
+func (h *heteroF32) addComm(seg segmentOutcome, lead, n int) {
+	for i := 0; i < n && i < len(seg.exchTimes[lead]); i++ {
+		h.comm += seg.exchTimes[lead][i]
+	}
 }
 
 // segmentOutcome is one lockstep segment's result, indexed by rank:
@@ -1236,6 +1265,10 @@ func (h *heteroF32) foldDegraded(seg segmentOutcome, lead int) bool {
 type segmentOutcome struct {
 	runErr    []error
 	iterTimes [][]float64
+	// exchTimes holds each rank's per-superstep exchange seconds for every
+	// recorded superstep, the convergence-detection one included (so it can
+	// be one longer than iterTimes).
+	exchTimes [][]float64
 	iters     []int64
 	frontier  [][]graph.VertexID
 	abortStep []int64
@@ -1273,6 +1306,7 @@ func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]gra
 	out := segmentOutcome{
 		runErr:    make([]error, h.n),
 		iterTimes: make([][]float64, h.n),
+		exchTimes: make([][]float64, h.n),
 		iters:     make([]int64, h.n),
 		frontier:  make([][]graph.VertexID, h.n),
 		abortStep: make([]int64, h.n),
@@ -1377,6 +1411,7 @@ func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]gra
 					// The convergence-detection superstep carries only
 					// generate + exchange work.
 					d.recordIter(rec(r), c, pt)
+					out.exchTimes[r] = append(out.exchTimes[r], pt.Exchange)
 					d.recordMetrics(d.step, c, pt)
 					rec(r).Converged = true
 					out.frontier[r] = active
@@ -1412,6 +1447,7 @@ func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]gra
 				d.recordTrace(traceBase+rec(r).Iterations, c, pt)
 				d.recordMetrics(d.step, c, pt)
 				d.recordIter(rec(r), c, pt)
+				out.exchTimes[r] = append(out.exchTimes[r], pt.Exchange)
 				// An injected stall is real superstep time on this rank: it
 				// flows into the lockstep max, so mitigation (demoting the
 				// straggler) shows up as a simulated-time win. Float32 results
@@ -1584,9 +1620,7 @@ func (h *heteroF32) finalize() HeteroResult {
 	h.res.Integrity = h.net.Integrity()
 	recordLinks(h.cfg.sink, h.res.Links, h.res.Integrity)
 	h.res.ExecSeconds = h.exec
-	// Communication time is identical on every side (full-duplex model), so
-	// take rank 0's.
-	h.res.CommSeconds = h.res.Dev[0].Phases.Exchange
+	h.res.CommSeconds = h.comm
 	h.res.SimSeconds = h.res.ExecSeconds + h.res.CommSeconds
 	h.res.WallSeconds = time.Since(h.start).Seconds()
 	return h.res

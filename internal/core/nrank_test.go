@@ -231,3 +231,69 @@ func TestFourRankDegradeRejoinChaos(t *testing.T) {
 		t.Error("no rank-2 phase samples after the rejoin superstep: tail was not 4-rank")
 	}
 }
+
+// TestCommSecondsCountsDegradedExchanges: CommSeconds is the interconnect
+// time of the supersteps the run kept, taken from each stretch's lowest live
+// rank — at full membership and below it alike, and whichever rank failed.
+// The expected value is rebuilt from the exchange phase samples: for every
+// superstep, the lead's last sample (a superstep recomputed after a restore
+// is recorded again). A fault-free run keeps reporting exactly rank 0's
+// exchange total.
+func TestCommSecondsCountsDegradedExchanges(t *testing.T) {
+	g := chaosGraph(t)
+	const n, iters = 4, 10
+	assign := nrankAssign(t, g, n)
+
+	clean, err := core.RunF32Hetero(apps.NewPageRank(), g, assign, nrankOpts(t, n, iters, 1, "")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.CommSeconds != clean.Dev[0].Phases.Exchange {
+		t.Fatalf("fault-free CommSeconds = %v, want rank 0's exchange total %v", clean.CommSeconds, clean.Dev[0].Phases.Exchange)
+	}
+
+	for _, failed := range []int{2, 0} {
+		t.Run(fmt.Sprintf("rank%d", failed), func(t *testing.T) {
+			col := metrics.NewCollector()
+			opts := nrankOpts(t, n, iters, 1, fmt.Sprintf("rank%d:drop@3", failed))
+			for r := range opts {
+				opts[r].Metrics = col
+			}
+			res, err := core.RunF32Hetero(apps.NewPageRank(), g, assign, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Degraded || res.FailedRank != failed {
+				t.Fatalf("Degraded=%v FailedRank=%d, want a degraded run after rank %d failed", res.Degraded, res.FailedRank, failed)
+			}
+			last := map[[2]int64]float64{}
+			for _, s := range col.Phases() {
+				if s.Phase == metrics.PhaseExchange {
+					last[[2]int64{int64(s.Rank), s.Superstep}] = s.SimSeconds
+				}
+			}
+			survivorLead := 0
+			if failed == 0 {
+				survivorLead = 1
+			}
+			var want float64
+			for s := int64(0); s < iters; s++ {
+				lead := 0
+				if s >= res.ResumedSuperstep {
+					lead = survivorLead
+				}
+				sec, ok := last[[2]int64{int64(lead), s}]
+				if !ok {
+					t.Fatalf("no exchange sample for lead rank %d at superstep %d", lead, s)
+				}
+				want += sec
+			}
+			if math.Abs(res.CommSeconds-want) > 1e-12 {
+				t.Fatalf("CommSeconds = %v, want %v from the kept supersteps' lead exchanges (Recovery exchange %v)", res.CommSeconds, want, res.Recovery.Phases.Exchange)
+			}
+			if got := res.ExecSeconds + res.CommSeconds; got != res.SimSeconds {
+				t.Fatalf("SimSeconds = %v, want Exec+Comm = %v", res.SimSeconds, got)
+			}
+		})
+	}
+}

@@ -20,7 +20,6 @@ package csb
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -86,7 +85,7 @@ func (c Config) Validate() error {
 // dynamic-column-allocation state.
 type group struct {
 	maxDeg int
-	arrays []*vec.ArrayF32
+	arrays []vec.ArrayF32
 	// index[posInGroup] is the column allocated to that vertex this
 	// iteration, or -1 ("index array", Fig. 3b). Accessed atomically.
 	index []int32
@@ -134,6 +133,12 @@ func Build(g *graph.CSR, cfg Config) (*Buffer, error) {
 // directly. The heterogeneous engine uses this form: a device's buffer is
 // sized by in-degrees restricted to its local partition plus potential
 // remote contributions.
+//
+// The in-degree order is a counting sort (degrees are small non-negative
+// integers), which gives exactly the stable comparison sort's permutation:
+// descending degree, ties in ascending vertex order. All vector arrays share
+// one float32 slab and all index/owner/fill tables one int32 slab, each
+// carved into 3-index slices so no table can grow into its neighbour.
 func BuildFromDegrees(in []int32, cfg Config) (*Buffer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -143,48 +148,72 @@ func BuildFromDegrees(in []int32, cfg Config) (*Buffer, error) {
 		cfg:        cfg,
 		n:          n,
 		groupWidth: cfg.K * int(cfg.Width),
-		redirect:   make([]int32, n),
-		sorted:     make([]graph.VertexID, n),
 	}
-	for v := range b.sorted {
-		b.sorted[v] = graph.VertexID(v)
+	var err error
+	if b.sorted, err = sortByDegree(in); err != nil {
+		return nil, err
 	}
-	sort.SliceStable(b.sorted, func(i, j int) bool {
-		return in[b.sorted[i]] > in[b.sorted[j]]
-	})
+	b.redirect = make([]int32, n)
 	for pos, v := range b.sorted {
 		b.redirect[v] = int32(pos)
 	}
-	numGroups := (n + b.groupWidth - 1) / b.groupWidth
+	gw := b.groupWidth
+	numGroups := (n + gw - 1) / gw
 	b.groups = make([]group, numGroups)
+	// The first vertex of a group has its largest in-degree (the order is
+	// descending), so it sizes the group's arrays.
+	cells := 0
 	for gi := range b.groups {
-		lo := gi * b.groupWidth
-		hi := lo + b.groupWidth
-		if hi > n {
-			hi = n
-		}
-		maxDeg := 0
-		for pos := lo; pos < hi; pos++ {
-			if d := int(in[b.sorted[pos]]); d > maxDeg {
-				maxDeg = d
-			}
-		}
+		b.groups[gi].maxDeg = int(in[b.sorted[gi*gw]])
+		cells += b.groups[gi].maxDeg * gw
+	}
+	arrays := make([]vec.ArrayF32, numGroups*cfg.K)
+	data := make([]float32, cells)
+	tables := make([]int32, 3*numGroups*gw)
+	for gi := range b.groups {
 		gr := &b.groups[gi]
-		gr.maxDeg = maxDeg
-		gr.arrays = make([]*vec.ArrayF32, cfg.K)
+		gr.arrays = arrays[gi*cfg.K : (gi+1)*cfg.K : (gi+1)*cfg.K]
+		size := gr.maxDeg * int(cfg.Width)
 		for a := range gr.arrays {
-			arr, err := vec.NewArrayF32(cfg.Width, maxDeg)
-			if err != nil {
+			if gr.arrays[a], err = vec.ArrayF32Over(cfg.Width, data[:size:size]); err != nil {
 				return nil, err
 			}
-			gr.arrays[a] = arr
+			data = data[size:]
 		}
-		gr.index = make([]int32, b.groupWidth)
-		gr.owner = make([]int32, b.groupWidth)
-		gr.fill = make([]int32, b.groupWidth)
+		t := tables[3*gi*gw : 3*(gi+1)*gw]
+		gr.index = t[:gw:gw]
+		gr.owner = t[gw : 2*gw : 2*gw]
+		gr.fill = t[2*gw : 3*gw : 3*gw]
 	}
 	b.initialize()
 	return b, nil
+}
+
+// sortByDegree returns the vertices ordered by in-degree, descending, ties
+// in ascending vertex order, by counting sort: O(n + max degree).
+func sortByDegree(in []int32) ([]graph.VertexID, error) {
+	var maxDeg int32
+	for v, d := range in {
+		if d < 0 {
+			return nil, fmt.Errorf("csb: vertex %d has negative in-degree %d", v, d)
+		}
+		maxDeg = max(maxDeg, d)
+	}
+	// start[d] is the first position of degree d: the number of vertices
+	// with a larger degree.
+	start := make([]int, int(maxDeg)+2)
+	for _, d := range in {
+		start[maxDeg-d+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	sorted := make([]graph.VertexID, len(in))
+	for v, d := range in {
+		sorted[start[maxDeg-d]] = graph.VertexID(v)
+		start[maxDeg-d]++
+	}
+	return sorted, nil
 }
 
 // NumVertices returns the number of destinations the buffer covers.
@@ -242,8 +271,8 @@ func (b *Buffer) NaiveFootprintBytes() int64 {
 func (b *Buffer) initialize() {
 	for gi := range b.groups {
 		gr := &b.groups[gi]
-		for _, arr := range gr.arrays {
-			arr.Fill(b.cfg.Identity)
+		for a := range gr.arrays {
+			gr.arrays[a].Fill(b.cfg.Identity)
 		}
 		for i := range gr.index {
 			gr.index[i] = -1
@@ -284,7 +313,7 @@ func (b *Buffer) Reset() int64 {
 		for c := 0; c < limit; c++ {
 			f := int(gr.fill[c])
 			if f > 0 {
-				arr := gr.arrays[c/w]
+				arr := &gr.arrays[c/w]
 				lane := c % w
 				for r := 0; r < f; r++ {
 					arr.Set(r, lane, b.cfg.Identity)
@@ -334,7 +363,7 @@ func (b *Buffer) Insert(dst graph.VertexID, val float32) {
 	if int(row) >= gr.maxDeg {
 		panic(fmt.Sprintf("csb: vertex %d received %d messages, exceeding group max in-degree %d", dst, row+1, gr.maxDeg))
 	}
-	arr := gr.arrays[int(col)/int(b.cfg.Width)]
+	arr := &gr.arrays[int(col)/int(b.cfg.Width)]
 	arr.Set(int(row), int(col)%int(b.cfg.Width), val)
 }
 
@@ -359,7 +388,7 @@ func (b *Buffer) InsertOwned(dst graph.VertexID, val float32) {
 	if int(row) >= gr.maxDeg {
 		panic(fmt.Sprintf("csb: vertex %d received %d messages, exceeding group max in-degree %d", dst, row+1, gr.maxDeg))
 	}
-	arr := gr.arrays[int(col)/int(b.cfg.Width)]
+	arr := &gr.arrays[int(col)/int(b.cfg.Width)]
 	arr.Set(int(row), int(col)%int(b.cfg.Width), val)
 }
 

@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"hetgraph/internal/gen"
 	"hetgraph/internal/graph"
 	"hetgraph/internal/vec"
 )
@@ -392,6 +394,70 @@ func TestBuildFromDegrees(t *testing.T) {
 	}
 }
 
+// TestDegreeOrderMatchesStableSort: the counting-sort layout is the stable
+// comparison sort's permutation — descending in-degree, ties in ascending
+// vertex order — over random degree vectors dense in ties and zeros, and
+// each group's row count is its largest member degree.
+func TestDegreeOrderMatchesStableSort(t *testing.T) {
+	widths := []vec.Width{2, vec.WidthCPU, 8, vec.WidthMIC}
+	prop := func(raw []uint8, wsel, ksel uint8) bool {
+		in := make([]int32, len(raw))
+		for i, r := range raw {
+			in[i] = int32(r % 9)
+		}
+		cfg := Config{Width: widths[int(wsel)%len(widths)], K: 1 + int(ksel)%3, Identity: inf, Mode: Dynamic}
+		b, err := BuildFromDegrees(in, cfg)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		want := make([]graph.VertexID, len(in))
+		for v := range want {
+			want[v] = graph.VertexID(v)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return in[want[i]] > in[want[j]] })
+		for pos, v := range want {
+			if b.SortedVertex(pos) != v || b.Redirect(v) != int32(pos) {
+				return false
+			}
+		}
+		for gi := 0; gi < b.NumGroups(); gi++ {
+			maxDeg := int32(0)
+			for pos := gi * b.GroupWidth(); pos < min((gi+1)*b.GroupWidth(), len(in)); pos++ {
+				maxDeg = max(maxDeg, in[want[pos]])
+			}
+			if b.GroupMaxDegree(gi) != int(maxDeg) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArrayCapacityIsGroupShape: the vector arrays share one slab, and each
+// is capped at its own maxDeg × width cells, so no array can grow into its
+// neighbour's rows.
+func TestArrayCapacityIsGroupShape(t *testing.T) {
+	in := []int32{5, 0, 3, 3, 9, 1, 0, 0, 2, 7, 4, 4, 1}
+	b, err := BuildFromDegrees(in, Config{Width: 2, K: 2, Identity: inf, Mode: Dynamic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for task := 0; task < b.NumTasks(); task++ {
+		arr, _ := b.Task(task)
+		want := b.GroupMaxDegree(task/b.K()) * b.Width()
+		if len(arr.Raw()) != want || cap(arr.Raw()) != want {
+			t.Errorf("task %d: array len %d cap %d, want both %d", task, len(arr.Raw()), cap(arr.Raw()), want)
+		}
+	}
+	if _, err := BuildFromDegrees([]int32{2, -1}, Config{Width: 2, K: 1}); err == nil {
+		t.Error("accepted a negative in-degree")
+	}
+}
+
 func TestAccessors(t *testing.T) {
 	b := paperBuffer(t, Dynamic)
 	if b.Width() != 4 || b.K() != 2 || b.Mode() != Dynamic {
@@ -619,5 +685,22 @@ func TestResetReturnsBytes(t *testing.T) {
 	}
 	if got := b.Reset(); got != 8*4 {
 		t.Fatalf("reset rewrote %d bytes, want 32 (8 messages x 4B)", got)
+	}
+}
+
+// BenchmarkBuild measures laying out the CSB of a 60k-vertex power-law graph
+// at the MIC's 16-lane width: the per-rank, per-job construction cost.
+func BenchmarkBuild(b *testing.B) {
+	g, err := gen.PowerLaw(gen.DefaultPowerLaw(60000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Width: vec.WidthMIC, K: 2, Identity: inf, Mode: Dynamic}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(g, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -38,7 +38,7 @@ func (b *Buffer) Task(t int) (*vec.ArrayF32, int) {
 			rows = f
 		}
 	}
-	return gr.arrays[ai], int(rows)
+	return &gr.arrays[ai], int(rows)
 }
 
 // Lanes appends the occupied lanes of task t to out and returns it. Lanes

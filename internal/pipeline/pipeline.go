@@ -24,6 +24,7 @@ package pipeline
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -151,13 +152,24 @@ func (p *PanicCollector) Err() error {
 	return nil
 }
 
-// Pipelined is a reusable worker/mover generation engine: the SPSC queue
-// matrix is allocated once and reused across iterations (queues are empty
-// between runs, so reuse is safe).
+// Pipelined is a reusable worker/mover generation engine. What scales with
+// workers×movers is allocated once, at construction: the SPSC ring matrix
+// (one header slice, one backing slab per worker) and each worker's
+// per-class accumulation buffers. Supersteps reuse the engine directly;
+// jobs reuse it through Acquire/Release. Reuse is safe because run leaves
+// every ring empty, on success and on error, and every worker truncates its
+// own buffers before generating.
 type Pipelined[T any] struct {
 	workers, movers, batch int
-	// queues[w][m] is written only by worker w and read only by mover m.
-	queues [][]*queue.SPSC[Message[T]]
+	// rings[w*movers+m] is written only by worker w and read only by
+	// mover m.
+	rings []queue.SPSC[Message[T]]
+	// bufs[w*movers+m] is worker w's accumulation buffer for mover class
+	// m (capacity batch; each worker's buffers share one allocation).
+	bufs [][]Message[T]
+	// pooled is set (under poolMu) while the engine sits in the pool; it
+	// turns a second Release of the same engine into a no-op.
+	pooled bool
 }
 
 // NewPipelined allocates the engine for a fixed worker/mover split and
@@ -169,19 +181,131 @@ func NewPipelined[T any](workers, movers, batch int) (*Pipelined[T], error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("pipeline: batch size %d < 1", batch)
 	}
-	p := &Pipelined[T]{workers: workers, movers: movers, batch: batch}
-	p.queues = make([][]*queue.SPSC[Message[T]], workers)
-	for w := range p.queues {
-		p.queues[w] = make([]*queue.SPSC[Message[T]], movers)
-		for m := range p.queues[w] {
-			q, err := queue.NewSPSC[Message[T]](queueCap)
-			if err != nil {
-				return nil, err
-			}
-			p.queues[w][m] = q
+	p := &Pipelined[T]{
+		workers: workers, movers: movers, batch: batch,
+		rings: make([]queue.SPSC[Message[T]], workers*movers),
+		bufs:  make([][]Message[T], workers*movers),
+	}
+	for w := 0; w < workers; w++ {
+		// One ring slab per worker (about 500 KB at the MIC split), not one
+		// for the whole matrix: a single 90 MB allocation lands on the heap
+		// before the collector can start, overshooting its goal, and raised
+		// the PageRank benchmark's peak RSS by a quarter; per-worker slabs
+		// keep the GC pacing of separately allocated rings.
+		if err := queue.InitSlab(p.rings[w*movers:(w+1)*movers], queueCap); err != nil {
+			return nil, err
+		}
+		// One allocation per worker keeps a worker's buffers contiguous and
+		// apart from its neighbours'.
+		slab := make([]Message[T], movers*batch)
+		for m := 0; m < movers; m++ {
+			lo := m * batch
+			p.bufs[w*movers+m] = slab[lo : lo : lo+batch]
 		}
 	}
 	return p, nil
+}
+
+// poolKey identifies one engine shape: engines are interchangeable only
+// when the split, the batch size and the message type all agree.
+type poolKey struct {
+	workers, movers, batch int
+	msg                    reflect.Type
+}
+
+// idleEngine is one pooled engine and the GC generation it was released in.
+type idleEngine struct {
+	p   any // *Pipelined[T] for the key's T
+	gen uint64
+}
+
+// The process-wide engine pool: per shape, a LIFO list of idle engines.
+// A plain list rather than a sync.Pool: sync.Pool parks the last engine Put
+// on a P in that P's private slot, invisible to a Get on any other P, so a
+// job acquiring three engines on another P than the one that released them
+// built a fresh engine (about 90 MB at the MIC split) while an idle one sat
+// parked. Idle engines still age out like a sync.Pool's: one left idle for
+// two GC cycles is dropped, so an idle process does not keep its rings.
+var (
+	poolMu sync.Mutex
+	pools  = map[poolKey][]idleEngine{}
+	// gcGen counts the GC cycles the sweeper has observed.
+	gcGen uint64
+)
+
+func init() { armSweep() }
+
+// gcSentinel is the object whose finalizer observes GC cycles; the pointer
+// field keeps it off the tiny allocator, whose objects may never finalize.
+type gcSentinel struct{ _ *byte }
+
+// armSweep schedules sweepPools after the next GC cycle, and re-arms itself
+// from there, once per cycle for the life of the process.
+func armSweep() {
+	runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) {
+		sweepPools()
+		armSweep()
+	})
+}
+
+// sweepPools drops every engine that has been idle for two GC cycles.
+func sweepPools() {
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	gcGen++
+	for key, idle := range pools {
+		kept := idle[:0]
+		for _, e := range idle {
+			if gcGen-e.gen < 2 {
+				kept = append(kept, e)
+			}
+		}
+		clear(idle[len(kept):])
+		if len(kept) == 0 {
+			delete(pools, key)
+		} else {
+			pools[key] = kept
+		}
+	}
+}
+
+// Acquire returns an idle engine of the given shape from the process-wide
+// pool, or a new one (NewPipelined) when none is idle. Pair it with Release
+// once the engine is no longer in use.
+func Acquire[T any](workers, movers, batch int) (*Pipelined[T], error) {
+	key := poolKey{workers, movers, batch, reflect.TypeFor[T]()}
+	poolMu.Lock()
+	if idle := pools[key]; len(idle) > 0 {
+		p := idle[len(idle)-1].p.(*Pipelined[T])
+		idle[len(idle)-1] = idleEngine{}
+		pools[key] = idle[:len(idle)-1]
+		p.pooled = false
+		poolMu.Unlock()
+		return p, nil
+	}
+	poolMu.Unlock()
+	return NewPipelined[T](workers, movers, batch)
+}
+
+// Release returns the engine to the pool for a later Acquire of the same
+// shape. The caller must not use the engine afterwards, and must only
+// release an engine whose last run has returned. An engine whose rings are
+// not all empty (which a returned run never leaves) is dropped rather than
+// pooled; releasing twice is a no-op.
+func (p *Pipelined[T]) Release() {
+	for i := range p.rings {
+		if !p.rings[i].Empty() {
+			return
+		}
+	}
+	key := poolKey{p.workers, p.movers, p.batch, reflect.TypeFor[T]()}
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	if p.pooled {
+		return
+	}
+	p.pooled = true
+	pools[key] = append(pools[key], idleEngine{p: p, gen: gcGen})
 }
 
 // Batch returns the engine's handoff batch size.
@@ -225,7 +349,7 @@ func (p *Pipelined[T]) RunBatched(active []graph.VertexID, gen Gen[T], sink Batc
 }
 
 func (p *Pipelined[T]) run(active []graph.VertexID, gen Gen[T], sink BatchSink[T]) (Stats, error) {
-	workers, movers, batch, queues := p.workers, p.movers, p.batch, p.queues
+	workers, movers, batch, rings := p.workers, p.movers, p.batch, p.rings
 	s, err := sched.New(int64(len(active)), sched.ChunkFor(int64(len(active)), workers))
 	if err != nil {
 		return Stats{}, err
@@ -245,12 +369,14 @@ func (p *Pipelined[T]) run(active []graph.VertexID, gen Gen[T], sink BatchSink[T
 			defer wg.Done()
 			defer workersLeft.Add(-1)
 			defer pc.Capture()
-			mine := queues[w]
+			mine := rings[w*movers : (w+1)*movers]
 			// Per-mover-class accumulation buffers: the ring cursors are
-			// published once per flush instead of once per message.
-			bufs := make([][]Message[T], movers)
+			// published once per flush instead of once per message. They
+			// are truncated first, so residue a panicked run left behind
+			// can never reach this run's movers.
+			bufs := p.bufs[w*movers : (w+1)*movers]
 			for m := range bufs {
-				bufs[m] = make([]Message[T], 0, batch)
+				bufs[m] = bufs[m][:0]
 			}
 			var local, localPubs int64
 			flush := func(m int) {
@@ -296,11 +422,7 @@ func (p *Pipelined[T]) run(active []graph.VertexID, gen Gen[T], sink BatchSink[T
 			defer wg.Done()
 			discard := func() {
 				for w := 0; w < workers; w++ {
-					for {
-						if _, ok := queues[w][m].TryPop(); !ok {
-							break
-						}
-					}
+					discardAll(&rings[w*movers+m])
 				}
 			}
 			func() {
@@ -313,7 +435,7 @@ func (p *Pipelined[T]) run(active []graph.VertexID, gen Gen[T], sink BatchSink[T
 				drain := func() int64 {
 					var n int64
 					for w := 0; w < workers; w++ {
-						q := queues[w][m]
+						q := &rings[w*movers+m]
 						for {
 							k := q.PopBatch(scratch)
 							if k == 0 {
@@ -357,14 +479,8 @@ func (p *Pipelined[T]) run(active []graph.VertexID, gen Gen[T], sink BatchSink[T
 	wg.Wait()
 	if err := pc.Err(); err != nil {
 		// Drain any residue so the queues are clean for the next run.
-		for w := range queues {
-			for m := range queues[w] {
-				for {
-					if _, ok := queues[w][m].TryPop(); !ok {
-						break
-					}
-				}
-			}
+		for i := range rings {
+			discardAll(&rings[i])
 		}
 		return Stats{}, err
 	}
@@ -377,4 +493,13 @@ func (p *Pipelined[T]) run(active []graph.VertexID, gen Gen[T], sink BatchSink[T
 		st.QueueBatchOps = pubs.Load()
 	}
 	return st, nil
+}
+
+// discardAll pops and drops everything buffered in q.
+func discardAll[T any](q *queue.SPSC[T]) {
+	for {
+		if _, ok := q.TryPop(); !ok {
+			return
+		}
+	}
 }

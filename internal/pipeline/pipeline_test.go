@@ -3,13 +3,16 @@ package pipeline
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hetgraph/internal/csb"
 	"hetgraph/internal/graph"
+	"hetgraph/internal/machine"
 )
 
 // fanoutGen emits one message per out-edge of v, value = float32(v).
@@ -475,6 +478,196 @@ func TestBatchedReusableAfterPanic(t *testing.T) {
 	if stats.Messages != 28 || delivered.Load() != 28 {
 		t.Fatalf("post-panic run delivered %d/%d, want 28/28", stats.Messages, delivered.Load())
 	}
+
+	// A pooled engine whose workers panicked mid-batch — each holding a
+	// partly filled accumulation buffer — goes back to the pool and, once
+	// acquired again, delivers exactly the next run's messages: no residue
+	// of the failed run reaches its movers.
+	const n, fan = 600, 4
+	pooled, err := Acquire[float32](3, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	midBatch := func(v graph.VertexID, emit func(graph.VertexID, float32)) {
+		for k := 0; k < 3; k++ {
+			emit(graph.VertexID((int(v)+k)%n), -1)
+		}
+		panic("dies mid-batch")
+	}
+	if _, err := pooled.RunBatched(allVertices(n), midBatch, func([]graph.VertexID, []float32) {}); err == nil {
+		t.Fatal("no error from panicking run")
+	}
+	pooled.Release()
+	again, err := Acquire[float32](3, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Release()
+	if again != pooled {
+		t.Fatal("Acquire after Release did not reuse the pooled engine")
+	}
+	want := map[Message[float32]]int{}
+	gen := func(v graph.VertexID, emit func(graph.VertexID, float32)) {
+		for k := 1; k <= fan; k++ {
+			emit(graph.VertexID((int(v)+k)%n), float32(v))
+		}
+	}
+	for v := 0; v < n; v++ {
+		gen(graph.VertexID(v), func(dst graph.VertexID, val float32) { want[Message[float32]{dst, val}]++ })
+	}
+	var mu sync.Mutex
+	got := map[Message[float32]]int{}
+	if _, err := again.RunBatched(allVertices(n), gen, func(dsts []graph.VertexID, vals []float32) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i, d := range dsts {
+			got[Message[float32]{d, vals[i]}]++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d distinct messages, want %d", len(got), len(want))
+	}
+	for m, c := range want {
+		if got[m] != c {
+			t.Fatalf("message %+v delivered %d times, want %d", m, got[m], c)
+		}
+	}
+}
+
+// TestRunBatchedAllocsPerWorkerAndMover: the ring matrix, the workers'
+// accumulation buffers and the movers' scratch belong to the engine, so a
+// run on a warm engine allocates per goroutine (closures, scheduler), never
+// per (worker, mover) pair.
+func TestRunBatchedAllocsPerWorkerAndMover(t *testing.T) {
+	const workers, movers = 64, 32
+	g := graph.PaperExample()
+	p, err := NewPipelined[float32](workers, movers, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := allVertices(16)
+	sink := func([]graph.VertexID, []float32) {}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := p.RunBatched(active, fanoutGen(g), sink); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(8 * (workers + movers)); allocs > limit {
+		t.Fatalf("RunBatched allocated %.0f objects per run, want <= %.0f (8 per goroutine; %d worker×mover pairs)", allocs, limit, workers*movers)
+	}
+}
+
+// TestAcquireRelease: the pool hands a released engine back — rings empty —
+// only to an Acquire of the same shape and message type; a double Release
+// pools the engine once; an engine with a non-empty ring is never pooled;
+// and an engine idle for two GC cycles is dropped.
+func TestAcquireRelease(t *testing.T) {
+	const w, m, b = 5, 3, 7 // a shape no other test pools
+	p, err := Acquire[float32](w, m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.RunBatched(allVertices(16), fanoutGen(graph.PaperExample()), func([]graph.VertexID, []float32) {}); err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+	p.Release() // no-op: already pooled
+	other, err := Acquire[float32](m, w, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typed, err := Acquire[int32](w, m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if any(other) == any(p) || any(typed) == any(p) {
+		t.Fatal("an engine crossed shapes or message types")
+	}
+	q, err := Acquire[float32](w, m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q != p {
+		t.Fatal("Acquire did not reuse the released engine")
+	}
+	for i := range q.rings {
+		if !q.rings[i].Empty() {
+			t.Fatalf("ring %d of a reacquired engine holds %d messages", i, q.rings[i].Len())
+		}
+	}
+	if fresh, err := Acquire[float32](w, m, b); err != nil || fresh == p {
+		t.Fatalf("double Release pooled the engine twice (err %v)", err)
+	}
+
+	q.rings[0].Push(Message[float32]{Dst: 1})
+	q.Release()
+	if r, _ := Acquire[float32](w, m, b); r == q {
+		t.Fatal("an engine with a non-empty ring was pooled")
+	}
+
+	idle, err := Acquire[float32](w, m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.Release()
+	sweepPools()
+	sweepPools()
+	if r, _ := Acquire[float32](w, m, b); r == idle {
+		t.Fatal("an engine idle for two sweeps was still pooled")
+	}
+}
+
+// TestPoolConcurrentJobs: jobs that acquire, run and release engines of one
+// shape from several goroutines at once each get an engine of their own and
+// deliver exactly their messages.
+func TestPoolConcurrentJobs(t *testing.T) {
+	g := graph.PaperExample()
+	var wg sync.WaitGroup
+	for j := 0; j < 6; j++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				p, err := Acquire[float32](4, 3, 2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var delivered atomic.Int64
+				st, err := p.RunBatched(allVertices(16), fanoutGen(g), func(dsts []graph.VertexID, _ []float32) {
+					delivered.Add(int64(len(dsts)))
+				})
+				p.Release()
+				if err != nil || st.Messages != 28 || delivered.Load() != 28 {
+					t.Errorf("job delivered %d/%d, want 28/28 (err %v)", st.Messages, delivered.Load(), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPoolSweepFollowsGC: the sweeper runs after real GC cycles, not only
+// when called.
+func TestPoolSweepFollowsGC(t *testing.T) {
+	poolMu.Lock()
+	start := gcGen
+	poolMu.Unlock()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		poolMu.Lock()
+		seen := gcGen - start
+		poolMu.Unlock()
+		if seen >= 2 {
+			return
+		}
+	}
+	t.Fatal("the pool sweeper did not observe two GC cycles within 10s")
 }
 
 func TestPipelinedReusableAfterPanic(t *testing.T) {
@@ -496,5 +689,39 @@ func TestPipelinedReusableAfterPanic(t *testing.T) {
 	}
 	if stats.Messages != 28 || delivered.Load() != 28 {
 		t.Fatalf("post-panic run delivered %d/%d, want 28/28", stats.Messages, delivered.Load())
+	}
+}
+
+// BenchmarkNewPipelined measures building an engine at the MIC split
+// (183 workers, 61 movers, 1024-slot rings): the per-job cost before
+// engines were pooled.
+func BenchmarkNewPipelined(b *testing.B) {
+	workers, movers := machine.DefaultPipeSplit(machine.MIC())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPipelined[float32](workers, movers, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAcquireRelease measures a pooled engine round trip at the MIC
+// split: the per-job cost with pooling. The engine is built before the
+// timer starts, so every timed Acquire is a pool hit.
+func BenchmarkAcquireRelease(b *testing.B) {
+	workers, movers := machine.DefaultPipeSplit(machine.MIC())
+	warm, err := Acquire[float32](workers, movers, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := Acquire[float32](workers, movers, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Release()
 	}
 }

@@ -45,14 +45,42 @@ type SPSC[T any] struct {
 // NewSPSC creates a ring with the given capacity, rounded up to a power of
 // two (minimum 2).
 func NewSPSC[T any](capacity int) (*SPSC[T], error) {
+	size, err := ringSize(capacity)
+	if err != nil {
+		return nil, err
+	}
+	return &SPSC[T]{buf: make([]T, size), mask: uint64(size - 1)}, nil
+}
+
+// InitSlab makes each ring of rings, which must be zero values, a ring of
+// the given capacity (rounded as in NewSPSC), all carved from one backing
+// slab: one allocation for len(rings) rings. Each ring's storage is a
+// 3-index slice, so no ring can reach its neighbour's cells. The rings are
+// independent SPSC queues, used in place (&rings[i]) and never copied.
+func InitSlab[T any](rings []SPSC[T], capacity int) error {
+	size, err := ringSize(capacity)
+	if err != nil {
+		return err
+	}
+	slab := make([]T, len(rings)*size)
+	for i := range rings {
+		lo := i * size
+		rings[i].buf = slab[lo : lo+size : lo+size]
+		rings[i].mask = uint64(size - 1)
+	}
+	return nil
+}
+
+// ringSize rounds capacity up to a power of two, minimum 2.
+func ringSize(capacity int) (int, error) {
 	if capacity < 1 {
-		return nil, fmt.Errorf("queue: capacity %d < 1", capacity)
+		return 0, fmt.Errorf("queue: capacity %d < 1", capacity)
 	}
 	size := 2
 	for size < capacity {
 		size <<= 1
 	}
-	return &SPSC[T]{buf: make([]T, size), mask: uint64(size - 1)}, nil
+	return size, nil
 }
 
 // Cap returns the ring capacity.

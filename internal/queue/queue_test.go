@@ -24,6 +24,38 @@ func TestNewSPSC(t *testing.T) {
 	}
 }
 
+// TestInitSlab: rings laid over one slab round their capacity like NewSPSC,
+// are capped at their own cells, and stay independent — filling one leaves
+// its neighbours empty and intact.
+func TestInitSlab(t *testing.T) {
+	if err := InitSlab(make([]SPSC[int], 2), 0); err == nil {
+		t.Error("accepted capacity 0")
+	}
+	rings := make([]SPSC[int], 3)
+	if err := InitSlab(rings, 5); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rings {
+		if rings[i].Cap() != 8 || cap(rings[i].buf) != 8 {
+			t.Fatalf("ring %d: Cap %d, storage cap %d, want 8 and 8", i, rings[i].Cap(), cap(rings[i].buf))
+		}
+	}
+	for v := 0; rings[1].TryPush(v); v++ {
+	}
+	if rings[0].Len() != 0 || rings[2].Len() != 0 || rings[1].Len() != 8 {
+		t.Fatalf("lens %d %d %d, want 0 8 0", rings[0].Len(), rings[1].Len(), rings[2].Len())
+	}
+	rings[2].Push(-1)
+	for want := 0; want < 8; want++ {
+		if v, ok := rings[1].TryPop(); !ok || v != want {
+			t.Fatalf("pop %d: got %d, %v", want, v, ok)
+		}
+	}
+	if v, ok := rings[2].TryPop(); !ok || v != -1 {
+		t.Fatalf("neighbour ring: got %d, %v, want -1", v, ok)
+	}
+}
+
 func TestFIFOOrder(t *testing.T) {
 	q, _ := NewSPSC[int](8)
 	for i := 0; i < 8; i++ {

@@ -25,6 +25,20 @@ func NewArrayF32(w Width, rows int) (*ArrayF32, error) {
 	return &ArrayF32{width: int(w), data: make([]float32, rows*int(w))}, nil
 }
 
+// ArrayF32Over lays a vector array over data, which must hold a whole number
+// of rows of w lanes; no cells are copied or cleared. The array is returned
+// by value so a caller can lay many arrays out in one slice, each over its
+// own stretch of one shared slab.
+func ArrayF32Over(w Width, data []float32) (ArrayF32, error) {
+	if err := w.Validate(); err != nil {
+		return ArrayF32{}, err
+	}
+	if len(data)%int(w) != 0 {
+		return ArrayF32{}, fmt.Errorf("vec: %d cells are not a whole number of %d-lane rows", len(data), int(w))
+	}
+	return ArrayF32{width: int(w), data: data}, nil
+}
+
 // MustArrayF32 is NewArrayF32 that panics on invalid shape; for callers that
 // validated the width at configuration time.
 func MustArrayF32(w Width, rows int) *ArrayF32 {

@@ -365,6 +365,22 @@ func TestArrayF32Shape(t *testing.T) {
 	if cap(r) != 4 {
 		t.Fatalf("row capacity = %d, want 4", cap(r))
 	}
+	// An array laid over caller storage shares it and takes its shape.
+	slab := make([]float32, 8)
+	over, err := ArrayF32Over(Width(4), slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over.Set(1, 3, 7)
+	if over.Rows() != 2 || slab[7] != 7 {
+		t.Fatalf("ArrayF32Over: %d rows, slab[7] = %v, want 2 rows over the slab", over.Rows(), slab[7])
+	}
+	if _, err := ArrayF32Over(Width(4), slab[:6]); err == nil {
+		t.Fatal("ArrayF32Over accepted a partial row")
+	}
+	if _, err := ArrayF32Over(Width(3), slab); err == nil {
+		t.Fatal("ArrayF32Over accepted invalid width")
+	}
 }
 
 func TestMustArrayF32Panics(t *testing.T) {
