@@ -191,11 +191,12 @@ func run(args []string) error {
 		fmt.Printf("debug server on http://%s (/debug/pprof/, /debug/vars, /metrics)\n", dbg.Addr())
 	}
 
-	if *appName == "semicluster" {
-		return runSC(g, *graphPath, *device, schemeOf(*scheme), *partPath, *devices, *ranks, *iters, col, *report, abort)
-	}
-
-	var app hetgraph.AppF32
+	var (
+		app hetgraph.AppF32
+		// sc is set instead of app for Semi-Clustering, whose structured
+		// messages run on the generic engine.
+		sc *hetgraph.SemiClustering
+	)
 	switch *appName {
 	case "pagerank":
 		app = hetgraph.NewPageRank()
@@ -207,8 +208,16 @@ func run(args []string) error {
 		app = hetgraph.NewTopoSort()
 	case "cc":
 		app = hetgraph.NewConnectedComponents()
+	case "semicluster":
+		sc = hetgraph.NewSemiClustering(3, 4, 0.2)
+		if *iters == 0 {
+			*iters = 5
+		}
 	default:
 		return usagef("unknown -app %q", *appName)
+	}
+	if sc != nil && (*baseline != "" || *verify) {
+		return usagef("-baseline and -verify support the float32 apps only")
 	}
 
 	if *baseline == "omp" {
@@ -282,7 +291,12 @@ func run(args []string) error {
 			return usagef("-straggler-policy/-straggler-threshold require -device both (the supervisor scores ranks of a device group)")
 		}
 		opt.Dev = devOf(*device)
-		res, err := hetgraph.Run(app, g, opt)
+		var res hetgraph.Result
+		if sc != nil {
+			res, err = hetgraph.RunSemiClustering(sc, g, opt)
+		} else {
+			res, err = hetgraph.Run(app, g, opt)
+		}
 		if err != nil && !errors.As(err, &abortErr) {
 			return err
 		}
@@ -310,7 +324,12 @@ func run(args []string) error {
 			return err
 		}
 		opts := groupOptions(opt, specs)
-		res, err := hetgraph.RunF32Hetero(app, g, assign, opts...)
+		var res hetgraph.HeteroResult
+		if sc != nil {
+			res, err = hetgraph.RunSemiClusteringHetero(sc, g, assign, opts...)
+		} else {
+			res, err = hetgraph.RunF32Hetero(app, g, assign, opts...)
+		}
 		if err != nil && !errors.As(err, &abortErr) {
 			return err
 		}
@@ -598,82 +617,5 @@ func verifyResult(appName string, app hetgraph.AppF32, g *hetgraph.Graph, source
 		return fmt.Errorf("verify: FAIL — %s", detail)
 	}
 	fmt.Println("verify: PASS —", detail)
-	return nil
-}
-
-func runSC(g *hetgraph.Graph, graphPath, device string, scheme hetgraph.Scheme, partPath, devices string, ranks, iters int, col *hetgraph.MetricsCollector, reportPath string, abort <-chan struct{}) error {
-	if iters == 0 {
-		iters = 5
-	}
-	app := hetgraph.NewSemiClustering(3, 4, 0.2)
-	opt := hetgraph.Options{Scheme: scheme, MaxIterations: iters, Abort: abort}
-	if col != nil {
-		opt.Metrics = col
-	}
-	var (
-		repConfig  []hetgraph.RunReportConfig
-		repDevices []hetgraph.RunReportDevice
-		repTotals  hetgraph.RunReportTotals
-	)
-	switch device {
-	case "cpu", "mic":
-		if device == "cpu" {
-			opt.Dev = hetgraph.CPU()
-		} else {
-			opt.Dev = hetgraph.MIC()
-		}
-		res, err := hetgraph.RunSemiClustering(app, g, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("semicluster on %s: %d iterations, sim %.6fs, wall %.3fs\n",
-			device, res.Iterations, res.SimSeconds, res.WallSeconds)
-		repConfig = []hetgraph.RunReportConfig{reportConfigOf(0, opt, "")}
-		repDevices = []hetgraph.RunReportDevice{deviceReportOf(0, opt.Dev.Name, res)}
-		repTotals = hetgraph.RunReportTotals{
-			Iterations: res.Iterations, Converged: res.Converged,
-			SimSeconds: res.SimSeconds, WallSeconds: res.WallSeconds,
-		}
-	case "both":
-		specs, err := deviceGroupOf(devices, ranks)
-		if err != nil {
-			return err
-		}
-		assign, err := loadOrMakeAssign(partPath, g, specs)
-		if err != nil {
-			return err
-		}
-		opts := groupOptions(opt, specs)
-		res, err := hetgraph.RunSemiClusteringHetero(app, g, assign, opts...)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("semicluster on %s: %d iterations, sim %.6fs (exec %.6f + comm %.6f), wall %.3fs\n",
-			groupLabel(specs), res.Iterations, res.SimSeconds, res.ExecSeconds, res.CommSeconds, res.WallSeconds)
-		for r, o := range opts {
-			repConfig = append(repConfig, reportConfigOf(r, o, ""))
-			repDevices = append(repDevices, deviceReportOf(r, o.Dev.Name, res.Dev[r]))
-		}
-		repTotals = hetgraph.RunReportTotals{
-			Iterations: res.Iterations, Converged: res.Converged,
-			SimSeconds: res.SimSeconds, WallSeconds: res.WallSeconds,
-			ExecSeconds: res.ExecSeconds, CommSeconds: res.CommSeconds,
-			Ranks: len(specs), FailedRanks: res.FailedRanks,
-		}
-	default:
-		return usagef("unknown -device %q", device)
-	}
-	if col != nil {
-		rep := col.Report()
-		rep.Tool = "hetgraph-run"
-		rep.App = "semicluster"
-		rep.Graph = graphInfoOf(graphPath, g)
-		rep.Config = repConfig
-		rep.Devices = repDevices
-		rep.Totals = repTotals
-		if err := finishReport(reportPath, rep); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -7,11 +7,11 @@ import (
 	"hetgraph/internal/graph"
 )
 
-// The float32 applications implement checkpoint.Snapshotter so the
-// heterogeneous runtime can checkpoint them at superstep boundaries and
-// finish single-device after a device failure. Each snapshot carries the
-// full per-vertex state array; derived state (PageRank's per-edge share) is
-// recomputed on restore.
+// The float32 applications and label propagation implement
+// checkpoint.Snapshotter so a device group can checkpoint them at superstep
+// boundaries and finish on the surviving ranks after a device failure. Each
+// snapshot carries the full per-vertex state array; derived state
+// (PageRank's per-edge share) is recomputed on restore.
 
 // Snapshot implements checkpoint.Snapshotter.
 func (p *PageRank) Snapshot() ([]byte, error) {
@@ -87,5 +87,25 @@ func (c *ConnectedComponents) Restore(state []byte) error {
 		return fmt.Errorf("apps: ConnectedComponents snapshot has %d vertices, app has %d", len(labels), len(c.Labels))
 	}
 	c.Labels = labels
+	return nil
+}
+
+// Snapshot implements checkpoint.Snapshotter. Label propagation rebuilds its
+// messages from the labels every superstep, so the label array is its whole
+// state.
+func (l *LabelPropagation) Snapshot() ([]byte, error) {
+	return checkpoint.EncodeI32(l.Labels), nil
+}
+
+// Restore implements checkpoint.Snapshotter.
+func (l *LabelPropagation) Restore(state []byte) error {
+	labels, err := checkpoint.DecodeI32(state)
+	if err != nil {
+		return err
+	}
+	if len(labels) != len(l.Labels) {
+		return fmt.Errorf("apps: LabelPropagation snapshot has %d vertices, app has %d", len(labels), len(l.Labels))
+	}
+	l.Labels = labels
 	return nil
 }

@@ -12,13 +12,12 @@
 //
 // # Device groups
 //
-// A Net is built for an N-rank device group (NewGroupNet; NewNet is the
-// classic two-rank CPU+MIC pair). Every ordered pair of ranks gets its own
-// capacity-1 channel, so an all-to-all round cannot deadlock: each rank
-// deposits all its outgoing payloads before it starts receiving. Rank r's
-// view of the group is an Endpoint; Endpoint.ExchangeAll ships one payload
-// per live peer and collects one from each, which generalizes the pairwise
-// Endpoint.Exchange used when the group has exactly two ranks.
+// A Net is built for an N-rank device group (NewGroupNet; the classic
+// CPU+MIC pair is N = 2). Every ordered pair of ranks gets its own buffered
+// channel, so an all-to-all round cannot deadlock: each rank deposits all
+// its outgoing payloads before it starts receiving. Rank r's view of the
+// group is an Endpoint; Endpoint.ExchangeAll ships one payload per live peer
+// and collects one from each.
 //
 // The supervisor can shrink the group after a failure (SetMembers) and
 // re-grow it on rejoin; epoch fencing (NewEpoch) stamps every packet so a
@@ -229,7 +228,7 @@ type Net[T any] struct {
 	// sent[from][to] is the per-link send buffer for NACK retransmission.
 	sent [][]*sentSlot[T]
 
-	// timeout bounds each Exchange round (0 = wait forever, the classic
+	// timeout bounds each ExchangeAll round (0 = wait forever, the classic
 	// deadlock-prone MPI behavior).
 	timeout time.Duration
 	// inj, when non-nil, injects planned faults into exchanges.
@@ -246,7 +245,7 @@ type Net[T any] struct {
 	// reads it.
 	resumeB []*board[uint64]
 	// epoch is the current communication epoch, bumped by NewEpoch on every
-	// membership change. Exchange stamps outgoing packets with it and
+	// membership change. ExchangeAll stamps outgoing packets with it and
 	// rejects received packets from any other epoch (or the wrong
 	// superstep) as stale.
 	epoch atomic.Uint64
@@ -300,13 +299,6 @@ func (b *board[V]) get() (V, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.val, b.posted
-}
-
-// NewNet creates the classic two-rank CPU+MIC interconnect. msgBytes is the
-// wire size of one message's value; 4 bytes of destination ID are added per
-// message.
-func NewNet[T any](link machine.Link, msgBytes int) (*Net[T], error) {
-	return NewGroupNet[T](link, msgBytes, 2)
 }
 
 // NewGroupNet creates the interconnect of an N-rank device group
@@ -442,7 +434,7 @@ func (n *Net[T]) Integrity() IntegrityStats {
 	}
 }
 
-// SetTimeout bounds every subsequent Exchange round; 0 restores unbounded
+// SetTimeout bounds every subsequent ExchangeAll round; 0 restores unbounded
 // waiting. Call before the run starts.
 func (n *Net[T]) SetTimeout(d time.Duration) { n.timeout = d }
 
@@ -563,61 +555,27 @@ func (e *Endpoint[T]) NumLivePeers() int { return len(e.livePeers()) }
 // Ranks is the size of the device group this endpoint belongs to.
 func (e *Endpoint[T]) Ranks() int { return e.net.ranks }
 
-// Exchange ships this rank's combined remote messages and local
-// active-vertex count to the peer, and receives the peer's — the classic
-// two-rank round (the group's other member is the single peer; with more
-// than two live members use ExchangeAll). Both ranks must call Exchange once
-// per iteration; the call blocks until the peer's payload arrives, which is
-// the implicit cross-device synchronization point of the BSP superstep.
+// ExchangeAll ships one combined payload per live peer, with this rank's
+// local active-vertex count, and receives each peer's payload and count. out
+// is indexed by destination rank (entries for this rank or non-members are
+// ignored; a short or nil slice sends empty payloads). Every live member
+// must call ExchangeAll once per superstep; the call blocks until all peers'
+// payloads arrive, which is the cross-device synchronization point of the
+// BSP superstep. With zero live peers the round is a no-op that touches
+// neither the injector nor the stats, so a lone survivor can keep its engine
+// loop unchanged.
 //
 // The round is bounded by the net's timeout (SetTimeout): a peer that does
 // not show up within the deadline is declared dead and a *DeviceFailedError
 // naming it is returned, instead of the unbounded wait that would otherwise
 // deadlock the run. Injected faults (SetInjector) can drop this rank, delay
 // it, or fail the link transiently; transient faults are retried with
-// capped exponential backoff and reported in Stats.Retries.
-func (e *Endpoint[T]) Exchange(msgs []Msg[T], activeLocal int64) (recv []Msg[T], activeRemote int64, st Stats, err error) {
-	out := make([][]Msg[T], e.net.ranks)
-	if peer := e.peerOf(); peer >= 0 {
-		out[peer] = msgs
-	}
-	return e.exchangeAll(out, activeLocal)
-}
-
-// peerOf returns the single live peer, or -1 when the live membership does
-// not consist of exactly this rank plus one other.
-func (e *Endpoint[T]) peerOf() int {
-	peers := e.livePeers()
-	if len(peers) == 1 {
-		return peers[0]
-	}
-	if e.net.ranks == 2 {
-		return 1 - e.rank
-	}
-	return -1
-}
-
-// ExchangeAll ships one combined payload per live peer and receives each
-// peer's payload — the all-to-all generalization of Exchange. out is indexed
-// by destination rank (entries for this rank or non-members are ignored; a
-// short or nil slice sends empty payloads). Every live member must call
-// ExchangeAll once per iteration; the call blocks until all peers' payloads
-// arrive, which is the cross-device synchronization point of the BSP
-// superstep. With zero live peers the round is a no-op that touches neither
-// the injector nor the stats, so a lone survivor can keep its engine loop
-// unchanged.
-//
-// Failure semantics match Exchange: the round is bounded by the net's
-// timeout, injected faults can drop, delay, or transiently fail this rank,
-// and a fault that outlives the retry budget is a permanent link loss. With
-// one live peer the loss blames that peer (indistinguishable from its
-// death); with several it blames this rank — one rank losing all its links
-// at once is its own NIC, not N-1 simultaneous peer deaths.
+// capped exponential backoff and reported in Stats.Retries. A fault that
+// outlives the retry budget is a permanent link loss: with one live peer the
+// loss blames that peer (indistinguishable from its death); with several it
+// blames this rank — one rank losing all its links at once is its own NIC,
+// not N-1 simultaneous peer deaths.
 func (e *Endpoint[T]) ExchangeAll(out [][]Msg[T], activeLocal int64) (recv []Msg[T], activeRemote int64, st Stats, err error) {
-	return e.exchangeAll(out, activeLocal)
-}
-
-func (e *Endpoint[T]) exchangeAll(out [][]Msg[T], activeLocal int64) (recv []Msg[T], activeRemote int64, st Stats, err error) {
 	n := e.net
 	peers := e.livePeers()
 	step := e.step
@@ -925,7 +883,7 @@ func readBoard[V any, T any](e *Endpoint[T], boards []*board[V], peer int, timeo
 // is where the processes would reconcile their views of shared storage; here
 // it guards against wiring bugs that would restore the ranks from different
 // snapshots. It is bounded by the net's timeout and by peer death, like
-// Exchange.
+// ExchangeAll.
 func (e *Endpoint[T]) ResumeHandshake(gen uint64) (uint64, error) {
 	n := e.net
 	var timeoutC <-chan time.Time

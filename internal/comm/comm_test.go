@@ -13,11 +13,18 @@ import (
 	"hetgraph/internal/machine"
 )
 
+// toPeer addresses msgs to the other rank of a two-rank group.
+func toPeer[T any](e *Endpoint[T], msgs []Msg[T]) [][]Msg[T] {
+	out := make([][]Msg[T], 2)
+	out[1-e.Rank()] = msgs
+	return out
+}
+
 func TestNetValidation(t *testing.T) {
-	if _, err := NewNet[float32](machine.PCIe(), 0); err == nil {
+	if _, err := NewGroupNet[float32](machine.PCIe(), 0, 2); err == nil {
 		t.Error("accepted zero msgBytes")
 	}
-	n, err := NewNet[float32](machine.PCIe(), 4)
+	n, err := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +41,7 @@ func TestNetValidation(t *testing.T) {
 }
 
 func TestExchangeBothDirections(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
 	var wg sync.WaitGroup
@@ -45,11 +52,11 @@ func TestExchangeBothDirections(t *testing.T) {
 	var err0, err1 error
 	go func() {
 		defer wg.Done()
-		recv0, act0, st0, err0 = e0.Exchange([]Msg[float32]{{Dst: 1, Val: 10}, {Dst: 2, Val: 20}}, 7)
+		recv0, act0, st0, err0 = e0.ExchangeAll(toPeer(e0, []Msg[float32]{{Dst: 1, Val: 10}, {Dst: 2, Val: 20}}), 7)
 	}()
 	go func() {
 		defer wg.Done()
-		recv1, act1, st1, err1 = e1.Exchange([]Msg[float32]{{Dst: 9, Val: 90}}, 3)
+		recv1, act1, st1, err1 = e1.ExchangeAll(toPeer(e1, []Msg[float32]{{Dst: 9, Val: 90}}), 3)
 	}()
 	wg.Wait()
 	if err0 != nil || err1 != nil {
@@ -77,7 +84,7 @@ func TestExchangeBothDirections(t *testing.T) {
 }
 
 func TestExchangeEmptyPayloadsNoDeadlock(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
 	var wg sync.WaitGroup
@@ -86,7 +93,7 @@ func TestExchangeEmptyPayloadsNoDeadlock(t *testing.T) {
 		go func(r int, e *Endpoint[float32]) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				recv, _, st, err := e.Exchange(nil, 0)
+				recv, _, st, err := e.ExchangeAll(nil, 0)
 				if err != nil {
 					t.Errorf("zero-message round %d: %v", i, err)
 					return
@@ -107,7 +114,7 @@ func TestExchangeEmptyPayloadsNoDeadlock(t *testing.T) {
 
 func TestExchangeTimeGrowsWithBytes(t *testing.T) {
 	link := machine.PCIe()
-	n, _ := NewNet[float32](link, 4)
+	n, _ := NewGroupNet[float32](link, 4, 2)
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
 	run := func(k int) float64 {
@@ -115,8 +122,8 @@ func TestExchangeTimeGrowsWithBytes(t *testing.T) {
 		var st Stats
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); _, _, st, _ = e0.Exchange(msgs, 0) }()
-		go func() { defer wg.Done(); _, _, _, _ = e1.Exchange(nil, 0) }()
+		go func() { defer wg.Done(); _, _, st, _ = e0.ExchangeAll(toPeer(e0, msgs), 0) }()
+		go func() { defer wg.Done(); _, _, _, _ = e1.ExchangeAll(nil, 0) }()
 		wg.Wait()
 		return st.SimSeconds
 	}
@@ -194,14 +201,14 @@ func TestExchangeCombinedFlow(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Add(5, float32(100-i))
 	}
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var recv []Msg[float32]
-	go func() { defer wg.Done(); _, _, _, _ = e0.Exchange(c.Drain(nil), 0) }()
-	go func() { defer wg.Done(); recv, _, _, _ = e1.Exchange(nil, 0) }()
+	go func() { defer wg.Done(); _, _, _, _ = e0.ExchangeAll(toPeer(e0, c.Drain(nil)), 0) }()
+	go func() { defer wg.Done(); recv, _, _, _ = e1.ExchangeAll(nil, 0) }()
 	wg.Wait()
 	if len(recv) != 1 || recv[0].Dst != 5 || recv[0].Val != 1 {
 		t.Errorf("combined exchange delivered %v", recv)
@@ -254,7 +261,7 @@ func TestQuickCombinerOrderIndependent(t *testing.T) {
 
 func TestExchangeManyRounds(t *testing.T) {
 	// Sustained ping-pong: per-round payloads must never cross rounds.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
 	const rounds = 200
@@ -264,7 +271,7 @@ func TestExchangeManyRounds(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			recv, _, _, err := e0.Exchange([]Msg[float32]{{Dst: 0, Val: float32(i)}}, int64(i))
+			recv, _, _, err := e0.ExchangeAll(toPeer(e0, []Msg[float32]{{Dst: 0, Val: float32(i)}}), int64(i))
 			if err != nil || len(recv) != 1 || recv[0].Val != float32(-i) {
 				errs <- "rank 0 round payload mismatch"
 				return
@@ -274,7 +281,7 @@ func TestExchangeManyRounds(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			recv, active, _, err := e1.Exchange([]Msg[float32]{{Dst: 1, Val: float32(-i)}}, 0)
+			recv, active, _, err := e1.ExchangeAll(toPeer(e1, []Msg[float32]{{Dst: 1, Val: float32(-i)}}), 0)
 			if err != nil || len(recv) != 1 || recv[0].Val != float32(i) || active != int64(i) {
 				errs <- "rank 1 round payload mismatch"
 				return
@@ -294,12 +301,12 @@ func TestExchangeManyRounds(t *testing.T) {
 func TestExchangeTimeoutReturnsDeviceFailed(t *testing.T) {
 	// Regression: a rank whose peer never shows up must get a typed
 	// DeviceFailedError within the deadline instead of hanging forever.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetTimeout(30 * time.Millisecond)
 	e0, _ := n.Endpoint(0)
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := e0.Exchange([]Msg[float32]{{Dst: 1, Val: 1}}, 1)
+		_, _, _, err := e0.ExchangeAll(toPeer(e0, []Msg[float32]{{Dst: 1, Val: 1}}), 1)
 		done <- err
 	}()
 	select {
@@ -316,7 +323,7 @@ func TestExchangeTimeoutReturnsDeviceFailed(t *testing.T) {
 	}
 	// Once declared dead, the next round fails fast from either side.
 	start := time.Now()
-	_, _, _, err := e0.Exchange(nil, 0)
+	_, _, _, err := e0.ExchangeAll(nil, 0)
 	if err == nil {
 		t.Fatal("second exchange succeeded against a dead peer")
 	}
@@ -324,7 +331,7 @@ func TestExchangeTimeoutReturnsDeviceFailed(t *testing.T) {
 		t.Errorf("dead-peer exchange waited %v; want fast failure", time.Since(start))
 	}
 	e1, _ := n.Endpoint(1)
-	if _, _, _, err := e1.Exchange(nil, 0); err == nil {
+	if _, _, _, err := e1.ExchangeAll(nil, 0); err == nil {
 		t.Error("dead rank's own exchange succeeded")
 	}
 }
@@ -332,7 +339,7 @@ func TestExchangeTimeoutReturnsDeviceFailed(t *testing.T) {
 func TestExchangeAsymmetricPayloads(t *testing.T) {
 	// One side floods, the other sends nothing; both directions complete
 	// and the stats reflect each side's own view.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
 	big := make([]Msg[float32], 10_000)
@@ -343,8 +350,8 @@ func TestExchangeAsymmetricPayloads(t *testing.T) {
 	wg.Add(2)
 	var st0, st1 Stats
 	var recv1 []Msg[float32]
-	go func() { defer wg.Done(); _, _, st0, _ = e0.Exchange(big, 5) }()
-	go func() { defer wg.Done(); recv1, _, st1, _ = e1.Exchange(nil, 0) }()
+	go func() { defer wg.Done(); _, _, st0, _ = e0.ExchangeAll(toPeer(e0, big), 5) }()
+	go func() { defer wg.Done(); recv1, _, st1, _ = e1.ExchangeAll(nil, 0) }()
 	wg.Wait()
 	if len(recv1) != len(big) || recv1[9999].Val != 9999 {
 		t.Fatalf("rank 1 received %d messages", len(recv1))
@@ -366,7 +373,7 @@ func TestExchangeInjectedDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetInjector(inj)
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
@@ -377,7 +384,7 @@ func TestExchangeInjectedDrop(t *testing.T) {
 	run := func(r int, e *Endpoint[float32]) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if _, _, _, err := e.Exchange(nil, 0); err != nil {
+			if _, _, _, err := e.ExchangeAll(nil, 0); err != nil {
 				errs[r] = err
 				return
 			}
@@ -411,7 +418,7 @@ func TestExchangeTransientLinkFaultRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetInjector(inj)
 	n.SetRetryBase(10 * time.Microsecond)
 	e0, _ := n.Endpoint(0)
@@ -424,7 +431,7 @@ func TestExchangeTransientLinkFaultRetries(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
 			var st Stats
-			_, _, st, err0 = e0.Exchange(nil, 0)
+			_, _, st, err0 = e0.ExchangeAll(nil, 0)
 			st0.Retries += st.Retries
 			if err0 != nil {
 				return
@@ -434,7 +441,7 @@ func TestExchangeTransientLinkFaultRetries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if _, _, _, err := e1.Exchange(nil, 0); err != nil {
+			if _, _, _, err := e1.ExchangeAll(nil, 0); err != nil {
 				return
 			}
 		}
@@ -457,11 +464,11 @@ func TestExchangePersistentLinkFaultDeclaresPeerDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetInjector(inj)
 	n.SetRetryBase(10 * time.Microsecond)
 	e0, _ := n.Endpoint(0)
-	_, _, _, err = e0.Exchange(nil, 0)
+	_, _, _, err = e0.ExchangeAll(nil, 0)
 	var dfe *DeviceFailedError
 	if !errors.As(err, &dfe) || dfe.Rank != 1 {
 		t.Fatalf("persistent link fault: got %v, want DeviceFailedError blaming rank 1", err)
@@ -471,12 +478,12 @@ func TestExchangePersistentLinkFaultDeclaresPeerDead(t *testing.T) {
 func TestAbortWakesPeer(t *testing.T) {
 	// A rank that fails outside the exchange (recovered panic) aborts; its
 	// peer, already waiting in Exchange with no deadline set, must wake.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := e0.Exchange(nil, 0)
+		_, _, _, err := e0.ExchangeAll(nil, 0)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -501,7 +508,7 @@ func TestExchangeInjectedDelayUnderDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetInjector(inj)
 	n.SetTimeout(500 * time.Millisecond)
 	e0, _ := n.Endpoint(0)
@@ -509,8 +516,8 @@ func TestExchangeInjectedDelayUnderDeadline(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var err0, err1 error
-	go func() { defer wg.Done(); _, _, _, err0 = e0.Exchange(nil, 0) }()
-	go func() { defer wg.Done(); _, _, _, err1 = e1.Exchange(nil, 0) }()
+	go func() { defer wg.Done(); _, _, _, err0 = e0.ExchangeAll(nil, 0) }()
+	go func() { defer wg.Done(); _, _, _, err1 = e1.ExchangeAll(nil, 0) }()
 	wg.Wait()
 	if err0 != nil || err1 != nil {
 		t.Fatalf("delayed-but-alive round failed: %v / %v", err0, err1)
@@ -518,7 +525,7 @@ func TestExchangeInjectedDelayUnderDeadline(t *testing.T) {
 }
 
 func TestResumeHandshakeAgree(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		ep, _ := n.Endpoint(r)
@@ -535,7 +542,7 @@ func TestResumeHandshakeAgree(t *testing.T) {
 }
 
 func TestResumeHandshakeMismatch(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	gens := [2]uint64{7, 8}
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
@@ -559,7 +566,7 @@ func TestResumeHandshakeMismatch(t *testing.T) {
 }
 
 func TestResumeHandshakeDeadPeer(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetTimeout(50 * time.Millisecond)
 	ep0, _ := n.Endpoint(0)
 	ep1, _ := n.Endpoint(1)
@@ -576,7 +583,7 @@ func TestExchangeDropsStaleEpochPacket(t *testing.T) {
 	// change (NewEpoch drains the buffers, but a rank dying mid-round can
 	// park its last send later) must be count-and-dropped by the receiver
 	// rather than delivered as superstep payload.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	old := n.Epoch()
 	n.NewEpoch()
 	n.chans[1][0] <- encodePacket(n, []Msg[float32]{{Dst: 9, Val: 99}}, 42, old, 0)
@@ -590,11 +597,11 @@ func TestExchangeDropsStaleEpochPacket(t *testing.T) {
 	var err0, err1 error
 	go func() {
 		defer wg.Done()
-		recv0, act0, st0, err0 = e0.Exchange(nil, 0)
+		recv0, act0, st0, err0 = e0.ExchangeAll(nil, 0)
 	}()
 	go func() {
 		defer wg.Done()
-		_, _, st1, err1 = e1.Exchange([]Msg[float32]{{Dst: 3, Val: 7}}, 1)
+		_, _, st1, err1 = e1.ExchangeAll(toPeer(e1, []Msg[float32]{{Dst: 3, Val: 7}}), 1)
 	}()
 	wg.Wait()
 	if err0 != nil || err1 != nil {
@@ -618,7 +625,7 @@ func TestExchangeDropsWrongSeqPacket(t *testing.T) {
 	// Same fence, other dimension: a current-epoch packet with the wrong
 	// superstep sequence number (e.g. a duplicate from a replayed rank) is
 	// dropped, not delivered.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	// seq 5 is a "future" packet relative to the receiver's round 0: the
 	// fence rejects it as stale, never delivers it.
 	n.chans[1][0] <- encodePacket(n, []Msg[float32]{{Dst: 1, Val: 11}}, 0, n.Epoch(), 5)
@@ -628,8 +635,8 @@ func TestExchangeDropsWrongSeqPacket(t *testing.T) {
 	wg.Add(2)
 	var recv0 []Msg[float32]
 	var st0 Stats
-	go func() { defer wg.Done(); recv0, _, st0, _ = e0.Exchange(nil, 0) }()
-	go func() { defer wg.Done(); _, _, _, _ = e1.Exchange(nil, 0) }()
+	go func() { defer wg.Done(); recv0, _, st0, _ = e0.ExchangeAll(nil, 0) }()
+	go func() { defer wg.Done(); _, _, _, _ = e1.ExchangeAll(nil, 0) }()
 	wg.Wait()
 	if len(recv0) != 0 {
 		t.Fatalf("rank 0 received %v from a wrong-seq packet", recv0)
@@ -640,7 +647,7 @@ func TestExchangeDropsWrongSeqPacket(t *testing.T) {
 }
 
 func TestRejoinHandshakeAgree(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	epoch := n.NewEpoch()
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -657,7 +664,7 @@ func TestRejoinHandshakeAgree(t *testing.T) {
 }
 
 func TestRejoinHandshakeMismatch(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	epoch := n.NewEpoch()
 	steps := [2]int64{7, 8}
 	errs := make([]error, 2)
@@ -682,7 +689,7 @@ func TestRejoinHandshakeMismatch(t *testing.T) {
 }
 
 func TestRejoinHandshakeWrongEpoch(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.NewEpoch()
 	ep, _ := n.Endpoint(0)
 	if err := ep.RejoinHandshake(99, 0, 0); err == nil {
@@ -691,7 +698,7 @@ func TestRejoinHandshakeWrongEpoch(t *testing.T) {
 }
 
 func TestRejoinHandshakeDeadPeer(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetTimeout(50 * time.Millisecond)
 	epoch := n.NewEpoch()
 	ep0, _ := n.Endpoint(0)
@@ -758,11 +765,11 @@ func TestNewEpochDrainsParkedPayloads(t *testing.T) {
 func TestNewEpochClearsDeadMarkers(t *testing.T) {
 	// NewEpoch must make a previously-declared-dead net usable again: after
 	// the bump, a normal exchange succeeds where it would have failed fast.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
 	e1.Abort()
-	if _, _, _, err := e0.Exchange(nil, 0); err == nil {
+	if _, _, _, err := e0.ExchangeAll(nil, 0); err == nil {
 		t.Fatal("exchange against an aborted peer succeeded")
 	}
 	n.NewEpoch()
@@ -773,8 +780,8 @@ func TestNewEpochClearsDeadMarkers(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var err0, err1 error
-	go func() { defer wg.Done(); _, _, _, err0 = f0.Exchange(nil, 0) }()
-	go func() { defer wg.Done(); _, _, _, err1 = f1.Exchange(nil, 0) }()
+	go func() { defer wg.Done(); _, _, _, err0 = f0.ExchangeAll(nil, 0) }()
+	go func() { defer wg.Done(); _, _, _, err1 = f1.ExchangeAll(nil, 0) }()
 	wg.Wait()
 	if err0 != nil || err1 != nil {
 		t.Fatalf("post-NewEpoch exchange failed: %v / %v", err0, err1)
@@ -782,7 +789,7 @@ func TestNewEpochClearsDeadMarkers(t *testing.T) {
 }
 
 func TestSetStepAlignsRounds(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	ep, _ := n.Endpoint(0)
 	ep.SetStep(5)
 	if ep.Step() != 5 {

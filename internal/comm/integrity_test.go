@@ -28,7 +28,7 @@ func TestExchangeCorruptDropAndRetransmit(t *testing.T) {
 	// rank 1's transmission at round 0 arrives with flipped bytes; rank 0
 	// must detect it by checksum, NACK, pull a clean retransmission from
 	// the send buffer, and deliver the original payload intact.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetInjector(mustInjector(t, "rank1:corrupt@0"))
 	n.SetRetryBase(10 * time.Microsecond)
 	e0, _ := n.Endpoint(0)
@@ -40,11 +40,11 @@ func TestExchangeCorruptDropAndRetransmit(t *testing.T) {
 	var err0, err1 error
 	go func() {
 		defer wg.Done()
-		recv0, _, st0, err0 = e0.Exchange(nil, 0)
+		recv0, _, st0, err0 = e0.ExchangeAll(nil, 0)
 	}()
 	go func() {
 		defer wg.Done()
-		_, _, st1, err1 = e1.Exchange([]Msg[float32]{{Dst: 3, Val: 7}}, 1)
+		_, _, st1, err1 = e1.ExchangeAll(toPeer(e1, []Msg[float32]{{Dst: 3, Val: 7}}), 1)
 	}()
 	wg.Wait()
 	if err0 != nil || err1 != nil {
@@ -80,7 +80,7 @@ func TestExchangeCorruptDropAndRetransmit(t *testing.T) {
 func TestExchangePersistentCorruptKillsLink(t *testing.T) {
 	// A link that corrupts every transmission attempt past the retry
 	// budget is dead, and the corrupting sender is to blame.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetInjector(mustInjector(t, "rank1:corrupt@0x100"))
 	n.SetRetryBase(10 * time.Microsecond)
 	n.SetTimeout(time.Second)
@@ -92,13 +92,13 @@ func TestExchangePersistentCorruptKillsLink(t *testing.T) {
 	var err0 error
 	go func() {
 		defer wg.Done()
-		_, _, st0, err0 = e0.Exchange(nil, 0)
+		_, _, st0, err0 = e0.ExchangeAll(nil, 0)
 	}()
 	go func() {
 		defer wg.Done()
 		// The victim's own round may succeed or fail fast once declared
 		// dead; either way it must return.
-		e1.Exchange([]Msg[float32]{{Dst: 1, Val: 1}}, 1)
+		e1.ExchangeAll(toPeer(e1, []Msg[float32]{{Dst: 1, Val: 1}}), 1)
 	}()
 	wg.Wait()
 	var dfe *DeviceFailedError
@@ -117,7 +117,7 @@ func TestExchangeDupDrop(t *testing.T) {
 	// rank 1's round-0 packet is delivered twice. Round 0 consumes the
 	// first copy; the leftover must be dropped by the sequence fence in
 	// round 1, not delivered.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetInjector(mustInjector(t, "rank1:dup@0"))
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
@@ -129,7 +129,7 @@ func TestExchangeDupDrop(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2; i++ {
-			recv, _, st, err := e0.Exchange(nil, 0)
+			recv, _, st, err := e0.ExchangeAll(nil, 0)
 			dups += st.DupDrops
 			if err != nil {
 				errs[0] = err
@@ -141,7 +141,7 @@ func TestExchangeDupDrop(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2; i++ {
-			if _, _, _, err := e1.Exchange([]Msg[float32]{{Dst: graph32(i), Val: float32(i)}}, 0); err != nil {
+			if _, _, _, err := e1.ExchangeAll(toPeer(e1, []Msg[float32]{{Dst: graph32(i), Val: float32(i)}}), 0); err != nil {
 				errs[1] = err
 				return
 			}
@@ -166,7 +166,7 @@ func TestExchangeReorderDrop(t *testing.T) {
 	// At round 1 rank 1's link swaps adjacent packets: the round-0 packet
 	// is retransmitted ahead of the round-1 one. The receiver must drop
 	// the stale packet and still deliver round 1's payload.
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	n.SetInjector(mustInjector(t, "rank1:reorder@1"))
 	e0, _ := n.Endpoint(0)
 	e1, _ := n.Endpoint(1)
@@ -178,7 +178,7 @@ func TestExchangeReorderDrop(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2; i++ {
-			recv, _, st, err := e0.Exchange(nil, 0)
+			recv, _, st, err := e0.ExchangeAll(nil, 0)
 			dups += st.DupDrops
 			if err != nil {
 				errs[0] = err
@@ -190,7 +190,7 @@ func TestExchangeReorderDrop(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2; i++ {
-			if _, _, _, err := e1.Exchange([]Msg[float32]{{Dst: graph32(i), Val: float32(10 + i)}}, 0); err != nil {
+			if _, _, _, err := e1.ExchangeAll(toPeer(e1, []Msg[float32]{{Dst: graph32(i), Val: float32(10 + i)}}), 0); err != nil {
 				errs[1] = err
 				return
 			}
@@ -248,7 +248,7 @@ func TestExchangeHeaderOnlyIntegrity(t *testing.T) {
 	// images; corruption of those is still CRC-detected and repaired, and
 	// the out-of-band payload survives.
 	type pair struct{ A, B int64 }
-	n, _ := NewNet[pair](machine.PCIe(), 16)
+	n, _ := NewGroupNet[pair](machine.PCIe(), 16, 2)
 	n.SetInjector(mustInjector(t, "rank1:corrupt@0"))
 	n.SetRetryBase(10 * time.Microsecond)
 	e0, _ := n.Endpoint(0)
@@ -260,11 +260,11 @@ func TestExchangeHeaderOnlyIntegrity(t *testing.T) {
 	var err0, err1 error
 	go func() {
 		defer wg.Done()
-		recv0, _, st0, err0 = e0.Exchange(nil, 0)
+		recv0, _, st0, err0 = e0.ExchangeAll(nil, 0)
 	}()
 	go func() {
 		defer wg.Done()
-		_, _, _, err1 = e1.Exchange([]Msg[pair]{{Dst: 2, Val: pair{A: 8, B: 9}}}, 1)
+		_, _, _, err1 = e1.ExchangeAll(toPeer(e1, []Msg[pair]{{Dst: 2, Val: pair{A: 8, B: 9}}}), 1)
 	}()
 	wg.Wait()
 	if err0 != nil || err1 != nil {

@@ -76,7 +76,7 @@ func TestPacketDecodeDetectsTruncation(t *testing.T) {
 }
 
 func TestCorruptPacketFlipsOnlyTheCopy(t *testing.T) {
-	n, _ := NewNet[float32](machine.PCIe(), 4)
+	n, _ := NewGroupNet[float32](machine.PCIe(), 4, 2)
 	p := encodePacket(n, []Msg[float32]{{Dst: 1, Val: 2}}, 1, 0, 0)
 	orig := append([]byte(nil), p.wire...)
 	c := corruptPacket(p, 3)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -188,9 +187,7 @@ func (d *deviceF32) generatePull(active []graph.VertexID, c *machine.Counters) e
 		return nil
 	}
 	gen := func(v graph.VertexID, emit func(graph.VertexID, float32)) {
-		if d.opt.Fault.PanicNow(d.rank, d.step, fault.PhaseGenerate) {
-			panic(fmt.Sprintf("fault: injected panic, rank %d superstep %d phase generate", d.rank, d.step))
-		}
+		d.maybePanic(fault.PhaseGenerate)
 		d.app.Generate(v, func(dst graph.VertexID, val float32) {
 			if !d.local(dst) {
 				emit(dst, val)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"hetgraph/internal/apps"
@@ -250,9 +251,9 @@ func TestHeteroTransientLinkFaultRetried(t *testing.T) {
 	}
 }
 
-// TestGenericHeteroFaultReturnsError: structured-message apps have no
-// checkpoint recovery; an injected failure must surface as an error from
-// both the erroring rank and the peer, without deadlock.
+// TestGenericHeteroFaultReturnsError: a structured-message run without
+// checkpointing cannot recover; an injected failure must surface as an error
+// from both the erroring rank and the peer, without deadlock.
 func TestGenericHeteroFaultReturnsError(t *testing.T) {
 	g, err := gen.Community(gen.CommunityConfig{N: 400, Communities: 4, IntraDeg: 3, InterFrac: 0.03, Seed: 19})
 	if err != nil {
@@ -277,6 +278,66 @@ func TestGenericHeteroFaultReturnsError(t *testing.T) {
 	}
 	if dfe.Rank != 1 {
 		t.Fatalf("blamed rank %d, want 1", dfe.Rank)
+	}
+}
+
+// lpaGraph is a small community graph for the label-propagation oracle runs.
+func lpaGraph(t testing.TB) *graph.CSR {
+	t.Helper()
+	g, err := gen.Community(gen.CommunityConfig{N: 500, Communities: 5, IntraDeg: 3, InterFrac: 0.03, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// lpaWant returns the sequential reference's labels after maxIters
+// supersteps.
+func lpaWant(t testing.TB, g *graph.CSR, maxIters int) []graph.VertexID {
+	t.Helper()
+	seq := apps.NewLabelPropagation()
+	if _, _, err := seqref.RunGenericSeq[apps.LPAMsg](seq, g, maxIters); err != nil {
+		t.Fatal(err)
+	}
+	return seq.Labels
+}
+
+// TestGenericHeteroDegradesAfterDrop: with checkpointing, a structured-message
+// run degrades like a float32 one — rank 1 dies at superstep 3, rank 0
+// restores the newest checkpoint, finishes alone, and the labels match the
+// sequential reference exactly.
+func TestGenericHeteroDegradesAfterDrop(t *testing.T) {
+	g := lpaGraph(t)
+	const iters = 8
+	want := lpaWant(t, g, iters)
+	app := apps.NewLabelPropagation()
+	opt0, opt1 := chaosOpts(iters, 1, "rank1:drop@3", t)
+	res, err := core.RunGenericHetero[apps.LPAMsg](app, g, chaosAssign(t, g), opt0, opt1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || res.FailedRank != 1 || res.FailedSuperstep != 3 {
+		t.Fatalf("Degraded=%v FailedRank=%d FailedSuperstep=%d, want rank 1 degraded at superstep 3",
+			res.Degraded, res.FailedRank, res.FailedSuperstep)
+	}
+	for v := range want {
+		if app.Labels[v] != want[v] {
+			t.Fatalf("label[%d] = %d, seq %d", v, app.Labels[v], want[v])
+		}
+	}
+}
+
+// TestGenericHeteroCheckpointNeedsSnapshotter: Semi-Clustering does not
+// snapshot its state, so asking its device group to checkpoint is a typed
+// configuration error naming the missing interface, not a silently
+// unprotected run.
+func TestGenericHeteroCheckpointNeedsSnapshotter(t *testing.T) {
+	g := lpaGraph(t)
+	opt0, opt1 := chaosOpts(4, 1, "", t)
+	_, err := core.RunGenericHetero[apps.SCMsg](apps.NewSemiClustering(3, 4, 0.2), g, chaosAssign(t, g), opt0, opt1)
+	var ioe *core.InvalidOptionsError
+	if !errors.As(err, &ioe) || !strings.Contains(ioe.Reason, "Snapshotter") {
+		t.Fatalf("err = %v, want *core.InvalidOptionsError naming Snapshotter", err)
 	}
 }
 

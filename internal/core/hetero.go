@@ -316,6 +316,31 @@ func resolveTraceLabels(opts []Options) {
 // superstep boundary: a final checkpoint is captured when possible and the
 // partial result is returned with a *RunAbortedError.
 func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Options) (HeteroResult, error) {
+	if err := validateRunArgs(app, g); err != nil {
+		return HeteroResult{}, err
+	}
+	tg := pullTranspose(app, g, deviceOpts...)
+	return runGroup(app, g, assign, deviceOpts, func(o Options, rank int, owners []int32, ep *comm.Endpoint[float32]) (engine, error) {
+		return newDeviceF32(app, g, tg, o, rank, owners, ep)
+	})
+}
+
+// groupApp is what the group setup needs of either application kind.
+type groupApp interface {
+	Profile() machine.AppProfile
+	Init(g *graph.CSR) []graph.VertexID
+}
+
+// engineFactory builds a rank's engine over the owners vector, attached to
+// the rank's endpoint of a T-message interconnect.
+type engineFactory[T any] func(o Options, rank int, owners []int32, ep *comm.Endpoint[T]) (engine, error)
+
+// runGroup is the device-group run behind RunF32Hetero and RunGenericHetero:
+// it expands and validates the group, builds the interconnect and one engine
+// per rank, resolves the merged robustness settings, opens the checkpoint
+// store, cold-starts from it on resume, arms the checkpoint barrier, and
+// hands the run to the supervisor.
+func runGroup[T any](app groupApp, g *graph.CSR, assign []int32, deviceOpts []Options, newEngine engineFactory[T]) (HeteroResult, error) {
 	start := time.Now()
 	if err := validateRunArgs(app, g); err != nil {
 		return HeteroResult{}, err
@@ -328,7 +353,7 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 	if err := validAssign(g, assign, n); err != nil {
 		return HeteroResult{}, err
 	}
-	net, err := comm.NewGroupNet[float32](machine.PCIe(), app.Profile().MsgBytes, n)
+	net, err := comm.NewGroupNet[T](machine.PCIe(), app.Profile().MsgBytes, n)
 	if err != nil {
 		return HeteroResult{}, err
 	}
@@ -372,23 +397,27 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 		opts[r].StragglerPolicy = cfg.stragglerPolicy
 	}
 	resolveTraceLabels(opts)
-	tg := pullTranspose(app, g, opts...)
-	devs := make([]*deviceF32, n)
+	devs := make([]engine, n)
+	// Until the supervisor takes the engines, a setup failure hands their
+	// pooled pipelines back (no rank goroutine has run yet).
+	started := false
+	defer func() {
+		if !started {
+			releaseAll(devs)
+		}
+	}()
 	for r := 0; r < n; r++ {
 		ep, err := net.Endpoint(r)
 		if err != nil {
 			return HeteroResult{}, err
 		}
-		devs[r], err = newDeviceF32(app, g, tg, opts[r], r, assign, ep)
-		if err != nil {
+		if devs[r], err = newEngine(opts[r], r, assign, ep); err != nil {
 			return HeteroResult{}, err
 		}
 	}
-	maxIter := devs[0].opt.MaxIterations
-	for r := 1; r < n; r++ {
-		if devs[r].opt.MaxIterations < maxIter {
-			maxIter = devs[r].opt.MaxIterations
-		}
+	maxIter := devs[0].base().opt.MaxIterations
+	for _, d := range devs[1:] {
+		maxIter = min(maxIter, d.base().opt.MaxIterations)
 	}
 
 	// Checkpointing (in-memory or durable), resume, and rejoin all need the
@@ -465,9 +494,9 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 		}
 	}
 
-	h := &heteroF32{
-		app: app, g: g, tg: tg, assign: assign, net: net, cfg: cfg, opts: opts,
-		snapper: snapper, coord: coord, store: store,
+	h := &supervisor[T]{
+		newEngine: newEngine, assign: assign, net: net, cfg: cfg, opts: opts,
+		snapper: snapper, coord: coord, store: store, fixed: IsFixedActive(app),
 		n: n, members: allRanks(n), downStep: map[int]int64{},
 		softDown: map[int]int64{}, suspects: map[int]bool{},
 		maxIter: maxIter, start: start, lastRejoin: -1,
@@ -483,39 +512,40 @@ func RunF32Hetero(app AppF32, g *graph.CSR, assign []int32, deviceOpts ...Option
 	if cfg.resume {
 		h.res.ResumedSuperstep = resumeFrom
 	}
-	var handshake func(*deviceF32) error
+	var handshake func(endpoint) error
 	if cfg.resume {
-		handshake = func(d *deviceF32) error {
+		handshake = func(ep endpoint) error {
 			// All ranks must have restored the same store generation, and
 			// from here on exchange rounds (and the fault plan's step
 			// indices) count absolute supersteps.
-			if _, err := d.ep.ResumeHandshake(resumedGen); err != nil {
+			if _, err := ep.ResumeHandshake(resumedGen); err != nil {
 				return err
 			}
-			d.ep.SetStep(resumeFrom)
+			ep.SetStep(resumeFrom)
 			return nil
 		}
 	}
+	started = true
 	return h.run(devs, actives, resumeFrom, handshake)
 }
 
-// heteroF32 supervises one heterogeneous run: it drives lockstep segments,
-// attributes failures by quorum, degrades to the surviving subset, and
-// (with Options.Rejoin) heals the run by restarting the failed ranks and
-// re-admitting them at a superstep barrier under a new comm epoch.
-type heteroF32 struct {
-	app     AppF32
-	g       *graph.CSR
-	tg      *graph.CSR // g's transpose when some rank may pull, shared by every engine
-	assign  []int32
-	net     *comm.Net[float32]
-	cfg     robustnessConfig
-	opts    []Options
-	snapper checkpoint.Snapshotter
-	coord   *checkpoint.Coordinator
-	store   *checkpoint.Store
-	maxIter int
-	start   time.Time
+// supervisor runs one device group over a T-message interconnect, whatever
+// the engine: it drives lockstep segments, attributes failures by quorum,
+// degrades to the surviving subset, and (with Options.Rejoin) heals the run
+// by restarting the failed ranks and re-admitting them at a superstep
+// barrier under a new comm epoch.
+type supervisor[T any] struct {
+	newEngine engineFactory[T]
+	fixed     bool // the app's active set never changes (FixedActiveSet)
+	assign    []int32
+	net       *comm.Net[T]
+	cfg       robustnessConfig
+	opts      []Options
+	snapper   checkpoint.Snapshotter
+	coord     *checkpoint.Coordinator
+	store     *checkpoint.Store
+	maxIter   int
+	start     time.Time
 
 	n        int
 	members  []int         // live owning ranks, ascending
@@ -545,7 +575,7 @@ type heteroF32 struct {
 }
 
 // down returns the currently failed ranks, sorted ascending.
-func (h *heteroF32) down() []int {
+func (h *supervisor[T]) down() []int {
 	var d []int
 	for r := range h.downStep {
 		d = append(d, r)
@@ -555,7 +585,7 @@ func (h *heteroF32) down() []int {
 }
 
 // softRanks returns the currently soft-degraded ranks, sorted ascending.
-func (h *heteroF32) softRanks() []int {
+func (h *supervisor[T]) softRanks() []int {
 	var d []int
 	for r := range h.softDown {
 		d = append(d, r)
@@ -566,7 +596,7 @@ func (h *heteroF32) softRanks() []int {
 
 // recomputeMembers rebuilds the owning membership: every rank that is
 // neither dead nor soft-degraded, ascending.
-func (h *heteroF32) recomputeMembers() {
+func (h *supervisor[T]) recomputeMembers() {
 	h.members = nil
 	for r := 0; r < h.n; r++ {
 		if _, dead := h.downStep[r]; dead {
@@ -582,7 +612,7 @@ func (h *heteroF32) recomputeMembers() {
 // ownerAssign returns the effective vertex-ownership vector: h.assign with
 // every vertex of a dead or soft-degraded rank reassigned round-robin to the
 // current owning members. At full ownership it is h.assign itself.
-func (h *heteroF32) ownerAssign() []int32 {
+func (h *supervisor[T]) ownerAssign() []int32 {
 	if len(h.downStep) == 0 && len(h.softDown) == 0 {
 		return h.assign
 	}
@@ -602,7 +632,7 @@ func (h *heteroF32) ownerAssign() []int32 {
 // nextBarrier returns the first checkpoint-cadence boundary strictly after
 // `from` — where the supervisor examines health verdicts under an active
 // straggler policy (cfg.every > 0 is validated up front).
-func (h *heteroF32) nextBarrier(from int64) int64 {
+func (h *supervisor[T]) nextBarrier(from int64) int64 {
 	every := int64(h.cfg.every)
 	return (from/every + 1) * every
 }
@@ -610,7 +640,7 @@ func (h *heteroF32) nextBarrier(from int64) int64 {
 // observeHealth folds a clean segment's charged per-rank superstep times
 // into the health scorer, surfacing state transitions as events and the
 // current classification as gauges.
-func (h *heteroF32) observeHealth(seg segmentOutcome, from int64) {
+func (h *supervisor[T]) observeHealth(seg segmentOutcome, from int64) {
 	if h.health == nil {
 		return
 	}
@@ -643,7 +673,7 @@ func (h *heteroF32) observeHealth(seg segmentOutcome, from int64) {
 // confirmedStragglers returns the owning ranks the scorer has confirmed as
 // stragglers and the active policy allows demoting — never the whole
 // membership, since someone has to own the vertices.
-func (h *heteroF32) confirmedStragglers() []int {
+func (h *supervisor[T]) confirmedStragglers() []int {
 	if h.health == nil || h.cfg.stragglerPolicy == StragglerOff {
 		return nil
 	}
@@ -665,7 +695,7 @@ func (h *heteroF32) confirmedStragglers() []int {
 // and reports whether every soft-degraded rank has stayed normal long
 // enough to rehabilitate. Partial returns are not attempted: the group
 // restores to full membership in one barrier.
-func (h *heteroF32) rehabReady(from, endStep int64) bool {
+func (h *supervisor[T]) rehabReady(from, endStep int64) bool {
 	if h.cfg.stragglerPolicy != StragglerDemoteRehab || len(h.softDown) == 0 {
 		return false
 	}
@@ -685,7 +715,7 @@ func (h *heteroF32) rehabReady(from, endStep int64) bool {
 // recordHealthGauges exports each rank's health classification and EWMA
 // superstep latency as live gauges (hetgraph_rank_health_<r>: 0 healthy,
 // 1 suspect, 2 straggler; hetgraph_rank_ewma_ns_<r>).
-func (h *heteroF32) recordHealthGauges() {
+func (h *supervisor[T]) recordHealthGauges() {
 	if h.health == nil {
 		return
 	}
@@ -708,7 +738,7 @@ func (h *heteroF32) recordHealthGauges() {
 // The fault injector stays armed: the demoted stretch runs forward from the
 // barrier, not a checkpoint replay, so the plan's remaining events must
 // still fire.
-func (h *heteroF32) softDegrade(stragglers []int, step int64, frontier []graph.VertexID) ([]*deviceF32, func(*deviceF32) error, error) {
+func (h *supervisor[T]) softDegrade(stragglers []int, step int64, frontier []graph.VertexID) ([]engine, func(endpoint) error, error) {
 	for _, s := range stragglers {
 		h.softDown[s] = step
 	}
@@ -751,7 +781,7 @@ func containsInt(xs []int, x int) bool {
 // run is the supervisor loop: lockstep segments over the live membership,
 // separated by quorum failure attribution, degraded continuation on the
 // surviving subset, and (in rejoin mode) heals back to full membership.
-func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int64, handshake func(*deviceF32) error) (HeteroResult, error) {
+func (h *supervisor[T]) run(devs []engine, actives [][]graph.VertexID, from int64, handshake func(endpoint) error) (HeteroResult, error) {
 	for {
 		// A soft-degraded run (stragglers demoted, membership reduced but no
 		// rank dead) is NOT degraded in the hard sense: it keeps recording
@@ -809,7 +839,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				Detail: detail,
 			})
 			h.res.Iterations = step
-			releaseF32(devs)
+			releaseAll(devs)
 			return h.finalize(), &RunAbortedError{Superstep: step}
 		}
 
@@ -836,7 +866,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				h.res.Degraded = degraded
 				h.res.Iterations = endStep
 				h.res.Converged = conv
-				releaseF32(devs)
+				releaseAll(devs)
 				return h.finalize(), nil
 			}
 			// The segment stopped at a barrier the supervisor acts on: the
@@ -847,8 +877,8 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				merged = append(merged, seg.frontier[r]...)
 			}
 			var (
-				next      []*deviceF32
-				hs        func(*deviceF32) error
+				next      []engine
+				hs        func(endpoint) error
 				err       error
 				returning []int
 			)
@@ -878,7 +908,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 				h.lastRejoin = endStep
 			}
 			if next != nil {
-				releaseF32(devs)
+				releaseAll(devs)
 				devs, handshake = next, hs
 				actives = splitActiveN(merged, h.ownerAssign(), h.n)
 			} else {
@@ -1000,7 +1030,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 		for _, c := range convicted {
 			devs[c] = nil
 		}
-		releaseF32(devs)
+		releaseAll(devs)
 		owners := h.ownerAssign()
 		devs, _, err = h.regroup(h.members, owners, nil)
 		if err != nil {
@@ -1022,7 +1052,7 @@ func (h *heteroF32) run(devs []*deviceF32, actives [][]graph.VertexID, from int6
 // degrading would keep hitting the same broken disk. It is treated like a
 // process crash — the previously committed generations are intact and a
 // restart with Options.Resume picks the run back up.
-func (h *heteroF32) storeAbort(rank int, err error) error {
+func (h *supervisor[T]) storeAbort(rank int, err error) error {
 	var serr *checkpoint.StoreError
 	if !errors.As(err, &serr) {
 		return nil
@@ -1039,13 +1069,13 @@ func (h *heteroF32) storeAbort(rank int, err error) error {
 // both the interconnect and the engines (nil while survivors replay a
 // checkpoint), and rebuilds one engine per member over the owners vector.
 // The engines are indexed by rank; the new epoch is returned alongside.
-func (h *heteroF32) regroup(members []int, owners []int32, inj *fault.Injector) ([]*deviceF32, uint64, error) {
+func (h *supervisor[T]) regroup(members []int, owners []int32, inj *fault.Injector) ([]engine, uint64, error) {
 	epoch := h.net.NewEpoch()
 	h.net.SetMembers(members)
 	h.net.SetInjector(inj)
 	h.coord.Reopen()
 	h.coord.SetMembers(members)
-	devs := make([]*deviceF32, h.n)
+	devs := make([]engine, h.n)
 	for _, r := range members {
 		o := h.opts[r]
 		o.Fault = inj
@@ -1053,18 +1083,27 @@ func (h *heteroF32) regroup(members []int, owners []int32, inj *fault.Injector) 
 		if err != nil {
 			return nil, 0, err
 		}
-		if devs[r], err = newDeviceF32(h.app, h.g, h.tg, o, r, owners, ep); err != nil {
+		if devs[r], err = h.newEngine(o, r, owners, ep); err != nil {
 			return nil, 0, fmt.Errorf("engine restart, rank %d: %w", r, err)
 		}
 	}
 	return devs, epoch, nil
 }
 
+// releaseAll releases every non-nil engine in devs.
+func releaseAll(devs []engine) {
+	for _, d := range devs {
+		if d != nil {
+			d.release()
+		}
+	}
+}
+
 // atStep is the handshake that starts a rank's exchange rounds (and the
 // fault plan's step indices) at superstep step.
-func atStep(step int64) func(*deviceF32) error {
-	return func(d *deviceF32) error {
-		d.ep.SetStep(step)
+func atStep(step int64) func(endpoint) error {
+	return func(ep endpoint) error {
+		ep.SetStep(step)
 		return nil
 	}
 }
@@ -1134,7 +1173,7 @@ func severedPartition(members []int, runErr []error) (majority, minority []int, 
 
 // quorumBlame resolves which live ranks the segment's errors convict. It
 // returns the convicted ranks (sorted) and the first error observed.
-func (h *heteroF32) quorumBlame(seg segmentOutcome) ([]int, error) {
+func (h *supervisor[T]) quorumBlame(seg segmentOutcome) ([]int, error) {
 	votes := map[int]int{}
 	self := map[int]bool{}
 	voters := 0
@@ -1200,7 +1239,7 @@ func (h *heteroF32) quorumBlame(seg segmentOutcome) ([]int, error) {
 // healStep computes the earliest superstep boundary at which every down rank
 // is declared recovered by the fault plan (the max of the per-rank recovery
 // steps). ok is false when any down rank never recovers.
-func (h *heteroF32) healStep(from int64) (int64, bool) {
+func (h *supervisor[T]) healStep(from int64) (int64, bool) {
 	if !h.cfg.rejoin || len(h.downStep) == 0 {
 		return 0, false
 	}
@@ -1226,7 +1265,7 @@ func (h *heteroF32) healStep(from int64) (int64, bool) {
 // foldDegraded accumulates a degraded segment's per-rank
 // scratch results into res.Recovery, advances the degraded counters, and
 // reports whether the segment converged.
-func (h *heteroF32) foldDegraded(seg segmentOutcome, lead int) bool {
+func (h *supervisor[T]) foldDegraded(seg segmentOutcome, lead int) bool {
 	executed := seg.iters[lead]
 	conv := false
 	for _, r := range h.members {
@@ -1252,7 +1291,7 @@ func (h *heteroF32) foldDegraded(seg segmentOutcome, lead int) bool {
 // run that never leaves full membership sums exactly as rank 0's own
 // Phases.Exchange does). Exchange time is per-round and full-duplex, so one
 // member's rounds stand for the group's.
-func (h *heteroF32) addComm(seg segmentOutcome, lead, n int) {
+func (h *supervisor[T]) addComm(seg segmentOutcome, lead, n int) {
 	for i := 0; i < n && i < len(seg.exchTimes[lead]); i++ {
 		h.comm += seg.exchTimes[lead][i]
 	}
@@ -1302,7 +1341,7 @@ func segmentAbortStep(seg segmentOutcome, members []int) (int64, bool) {
 // handshake, when non-nil, runs on each rank before its loop (resume or
 // rejoin barrier agreement). degraded selects the record target: the
 // per-rank Dev results at full membership, the Recovery scratch otherwise.
-func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]graph.VertexID, from int64, until int, handshake func(*deviceF32) error, degraded bool) segmentOutcome {
+func (h *supervisor[T]) runSegment(members []int, devs []engine, actives [][]graph.VertexID, from int64, until int, handshake func(endpoint) error, degraded bool) segmentOutcome {
 	out := segmentOutcome{
 		runErr:    make([]error, h.n),
 		iterTimes: make([][]float64, h.n),
@@ -1334,34 +1373,32 @@ func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]gra
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			d := devs[r]
+			e := devs[r]
+			b := e.base()
 			// On any error (or an abort), declare this rank dead on both the
 			// interconnect and the checkpoint barrier, so the peers fail
 			// fast wherever they are waiting instead of deadlocking.
 			defer func() {
 				if out.runErr[r] != nil {
-					d.ep.Abort()
+					b.ctl.Abort()
 					if h.coord != nil {
 						h.coord.MarkDead(r)
 					}
 				}
 			}()
 			if handshake != nil {
-				if err := handshake(d); err != nil {
+				if err := handshake(b.ctl); err != nil {
 					out.runErr[r] = err
 					return
 				}
 			}
 			active := actives[r]
-			fixed := IsFixedActive(d.app)
-			initial := active
-			measured := d.opt.Metrics != nil
 			scored := h.health != nil && !degraded
-			for iter := int(from); iter < until; iter++ {
-				if abortRequested(d.opt.Abort) {
-					out.abortStep[r] = int64(iter)
+			for iter := from; iter < int64(until); iter++ {
+				if abortRequested(b.opt.Abort) {
+					out.abortStep[r] = iter
 					out.frontier[r] = active
-					out.runErr[r] = &RunAbortedError{Superstep: int64(iter)}
+					out.runErr[r] = &RunAbortedError{Superstep: iter}
 					return
 				}
 				// Gray-fault injection: a slow/gslow event stalls this rank
@@ -1374,84 +1411,34 @@ func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]gra
 				// replay (degraded segments).
 				var stallSec float64
 				if !degraded {
-					if stall := h.cfg.inj.Slow(r, int64(iter)); stall > 0 {
+					if stall := h.cfg.inj.Slow(r, iter); stall > 0 {
 						time.Sleep(stall)
 						stallSec = stall.Seconds()
 					}
 				}
-				d.step = int64(iter)
-				var c machine.Counters
-				var pt PhaseTimes
-				c.Iterations = 1
-				c.BufferResetBytes = d.buf.Reset()
-				// Generate (local inserts + remote accumulation).
-				var t time.Time
-				if measured {
-					t = time.Now()
-				}
-				if err := d.generate(active, &c); err != nil {
-					out.runErr[r] = err
-					return
-				}
-				if measured {
-					d.wall.generate = time.Since(t).Nanoseconds()
-				}
-				// Implicit remote message exchange (Fig. 2). It carries this
-				// iteration's active count, which doubles as the BSP
-				// termination allreduce: when no vertex was active anywhere,
-				// nothing was generated and the run is over. (Its wall time —
-				// including the lockstep wait for the peers — is measured by
-				// comm and copied into d.wall by exchange.)
-				remoteActive, err := d.exchange(int64(len(active)), &c, &pt)
+				b.step = iter
+				next, c, pt, done, err := superstep(e, active, h.fixed)
 				if err != nil {
 					out.runErr[r] = err
 					return
 				}
-				if int64(len(active))+remoteActive == 0 && !fixed {
-					// The convergence-detection superstep carries only
-					// generate + exchange work.
-					d.recordIter(rec(r), c, pt)
+				dir := e.direction()
+				if done {
+					recordIter(rec(r), c, pt)
 					out.exchTimes[r] = append(out.exchTimes[r], pt.Exchange)
-					d.recordMetrics(d.step, c, pt)
+					b.recordMetrics(iter, dir, c, pt)
 					rec(r).Converged = true
 					out.frontier[r] = active
 					return
 				}
-				// Process + update locally.
-				if measured {
-					t = time.Now()
-				}
-				deliveries, err := d.process(&c)
-				if err != nil {
-					out.runErr[r] = err
-					return
-				}
-				if measured {
-					now := time.Now()
-					d.wall.process = now.Sub(t).Nanoseconds()
-					t = now
-				}
-				next, err := d.update(deliveries, &c)
-				if err != nil {
-					out.runErr[r] = err
-					return
-				}
-				if measured {
-					d.wall.update = time.Since(t).Nanoseconds()
-				}
-				compute := d.phaseTimes(c)
-				pt.Generate = compute.Generate
-				pt.Process = compute.Process
-				pt.Update = compute.Update
-
-				d.recordTrace(traceBase+rec(r).Iterations, c, pt)
-				d.recordMetrics(d.step, c, pt)
-				d.recordIter(rec(r), c, pt)
+				b.recordTrace(traceBase+rec(r).Iterations, dir, c, pt)
+				b.recordMetrics(iter, dir, c, pt)
+				recordIter(rec(r), c, pt)
 				out.exchTimes[r] = append(out.exchTimes[r], pt.Exchange)
 				// An injected stall is real superstep time on this rank: it
 				// flows into the lockstep max, so mitigation (demoting the
-				// straggler) shows up as a simulated-time win. Float32 results
-				// are untouched — the stall never enters the reductions.
+				// straggler) shows up as a simulated-time win. Results are
+				// untouched — the stall never enters the reductions.
 				charged := stallSec + pt.Generate + pt.Process + pt.Update
 				out.iterTimes[r] = append(out.iterTimes[r], charged)
 				// The health sample is this same charged time, not a host
@@ -1465,16 +1452,14 @@ func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]gra
 				if scored {
 					out.healthNS[r] = append(out.healthNS[r], int64(charged*1e9))
 				}
-				if fixed {
-					active = initial
-				} else {
+				if !h.fixed {
 					active = next
 				}
 				// Superstep iter is complete; checkpoint at the boundary if
 				// due. `active` is exactly this rank's frontier for the next
 				// superstep, which is what the snapshot must carry.
 				if h.coord != nil {
-					if completed := int64(iter) + 1; h.coord.Due(completed) {
+					if completed := iter + 1; h.coord.Due(completed) {
 						if err := h.coord.Checkpoint(r, completed, active); err != nil {
 							out.runErr[r] = err
 							return
@@ -1504,7 +1489,7 @@ func (h *heteroF32) runSegment(members []int, devs []*deviceF32, actives [][]gra
 // membership invariant (owners + down + soft-degraded = all ranks) simple,
 // and the scorer simply re-demotes it if it is still slow. On error the
 // membership is left as it was.
-func (h *heteroF32) restoreFullMembership(step int64, frontier []graph.VertexID) (handshake func(*deviceF32) error, devs []*deviceF32, gen, epoch uint64, err error) {
+func (h *supervisor[T]) restoreFullMembership(step int64, frontier []graph.VertexID) (handshake func(endpoint) error, devs []engine, gen, epoch uint64, err error) {
 	if err := h.coord.InitialAt(step, splitActiveN(frontier, h.assign, h.n)...); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("re-admission checkpoint at superstep %d: %w", step, err)
 	}
@@ -1531,11 +1516,11 @@ func (h *heteroF32) restoreFullMembership(step int64, frontier []graph.VertexID)
 	h.softDown = map[int]int64{}
 	h.lastRejoin = step
 	h.recomputeMembers()
-	handshake = func(d *deviceF32) error {
-		if err := d.ep.RejoinHandshake(epoch, gen, step); err != nil {
+	handshake = func(ep endpoint) error {
+		if err := ep.RejoinHandshake(epoch, gen, step); err != nil {
 			return err
 		}
-		d.ep.SetStep(step)
+		ep.SetStep(step)
 		return nil
 	}
 	return handshake, devs, gen, epoch, nil
@@ -1543,7 +1528,7 @@ func (h *heteroF32) restoreFullMembership(step int64, frontier []graph.VertexID)
 
 // rejoin restarts the down ranks for re-admission at superstep `step`,
 // returning the run to full-group lockstep.
-func (h *heteroF32) rejoin(step int64, frontier []graph.VertexID) ([]*deviceF32, func(*deviceF32) error, error) {
+func (h *supervisor[T]) rejoin(step int64, frontier []graph.VertexID) ([]engine, func(endpoint) error, error) {
 	returning := h.down()
 	handshake, devs, gen, epoch, err := h.restoreFullMembership(step, frontier)
 	if err != nil {
@@ -1565,7 +1550,7 @@ func (h *heteroF32) rejoin(step int64, frontier []graph.VertexID) ([]*deviceF32,
 // `step` after their latency re-normalized: the same replay machinery as
 // rejoin, but the outcome is recorded as a rehabilitation — the ranks never
 // failed, so Healed and FailedRanks stay untouched.
-func (h *heteroF32) rehabilitate(step int64, frontier []graph.VertexID) ([]*deviceF32, func(*deviceF32) error, error) {
+func (h *supervisor[T]) rehabilitate(step int64, frontier []graph.VertexID) ([]engine, func(endpoint) error, error) {
 	ranks := h.softRanks()
 	handshake, devs, gen, epoch, err := h.restoreFullMembership(step, frontier)
 	if err != nil {
@@ -1611,7 +1596,7 @@ func recordLinks(sink metrics.Sink, links []comm.LinkStat, integ comm.IntegrityS
 
 // finalize stamps the run-level times and the interconnect's link/integrity
 // record into the accumulated result.
-func (h *heteroF32) finalize() HeteroResult {
+func (h *supervisor[T]) finalize() HeteroResult {
 	for r := range h.suspects {
 		h.res.SuspectRanks = append(h.res.SuspectRanks, r)
 	}
@@ -1641,12 +1626,4 @@ func lockstepSeconds(iterTimes [][]float64, lead, n int) float64 {
 		total += t
 	}
 	return total
-}
-
-// recordIter accumulates one iteration into a rank's Result.
-func (d *deviceF32) recordIter(r *Result, c machine.Counters, pt PhaseTimes) {
-	r.Iterations++
-	r.Counters.Add(c)
-	r.Phases.Add(pt)
-	r.SimSeconds = r.Phases.Total()
 }

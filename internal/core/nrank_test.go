@@ -87,9 +87,10 @@ func TestNRankPageRankMatchesClassic(t *testing.T) {
 }
 
 // TestNRankSSSPMatchesDijkstra is the N-rank acceptance property for the
-// moving-frontier app: group runs at N ∈ {3, 4} must reach the exact
-// Dijkstra fixed point. The 3-rank case uses the single-Options Devices
-// form to cover device-group expansion.
+// moving-frontier apps: group runs at N ∈ {3, 4} must reach the exact
+// Dijkstra fixed point (SSSP, float32 engine) and the exact sequential
+// labels (label propagation, generic engine). The 3-rank SSSP case uses the
+// single-Options Devices form to cover device-group expansion.
 func TestNRankSSSPMatchesDijkstra(t *testing.T) {
 	g := chaosGraph(t)
 	want := seqref.ClassicSSSP(g, 0)
@@ -123,6 +124,22 @@ func TestNRankSSSPMatchesDijkstra(t *testing.T) {
 			for v := range want {
 				if app.Dist[v] != want[v] {
 					t.Fatalf("dist[%d] = %v, Dijkstra says %v", v, app.Dist[v], want[v])
+				}
+			}
+		})
+	}
+	lg := lpaGraph(t)
+	const lpaIters = 8
+	labels := lpaWant(t, lg, lpaIters)
+	for _, n := range []int{3, 4} {
+		t.Run(fmt.Sprintf("lpa/ranks=%d", n), func(t *testing.T) {
+			app := apps.NewLabelPropagation()
+			if _, err := core.RunGenericHetero[apps.LPAMsg](app, lg, nrankAssign(t, lg, n), nrankOpts(t, n, lpaIters, 0, "")...); err != nil {
+				t.Fatal(err)
+			}
+			for v := range labels {
+				if app.Labels[v] != labels[v] {
+					t.Fatalf("label[%d] = %d, seq %d", v, app.Labels[v], labels[v])
 				}
 			}
 		})

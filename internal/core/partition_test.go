@@ -183,9 +183,9 @@ func TestPartitionMinoritySideQuorumFencesRank0(t *testing.T) {
 	}
 }
 
-// TestGenericHeteroPartitionReturnsTypedError: structured-message runs have
-// no checkpoint recovery, so a partition aborts — with the typed error, from
-// every rank's perspective, without deadlock.
+// TestGenericHeteroPartitionReturnsTypedError: a structured-message run
+// without checkpointing cannot recover, so a partition aborts — with the
+// typed error, from every rank's perspective, without deadlock.
 func TestGenericHeteroPartitionReturnsTypedError(t *testing.T) {
 	g, err := gen.Community(gen.CommunityConfig{N: 400, Communities: 4, IntraDeg: 3, InterFrac: 0.03, Seed: 19})
 	if err != nil {

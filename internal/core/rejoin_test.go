@@ -133,6 +133,31 @@ func TestHeteroSSSPHealsAfterFlaky(t *testing.T) {
 	}
 }
 
+// TestGenericHeteroHealsAfterFlaky: a structured-message run heals through
+// the same supervisor as a float32 one — rank 1 fails at superstep 3, rejoins
+// at superstep 5, and the labels match the sequential reference exactly.
+func TestGenericHeteroHealsAfterFlaky(t *testing.T) {
+	g := lpaGraph(t)
+	const iters = 8
+	want := lpaWant(t, g, iters)
+	app := apps.NewLabelPropagation()
+	opt0, opt1 := chaosOpts(iters, 1, "rank1:flaky@3x2", t)
+	opt0.Rejoin = true
+	res, err := core.RunGenericHetero[apps.LPAMsg](app, g, chaosAssign(t, g), opt0, opt1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Healed || res.Degraded || res.RejoinSuperstep != 5 {
+		t.Fatalf("Healed=%v Degraded=%v RejoinSuperstep=%d, want healed at superstep 5",
+			res.Healed, res.Degraded, res.RejoinSuperstep)
+	}
+	for v := range want {
+		if app.Labels[v] != want[v] {
+			t.Fatalf("label[%d] = %d, seq %d", v, app.Labels[v], want[v])
+		}
+	}
+}
+
 // TestHeteroFlakyWithoutRejoinStaysDegraded pins the compatibility contract:
 // without Options.Rejoin the same flaky plan degrades permanently, exactly
 // like a drop, and still produces a correct single-device result.
